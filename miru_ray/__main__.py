@@ -96,14 +96,15 @@ def main(argv: list[str] | None = None) -> int:
         ray.shutdown()
     elif args.cmd == "search":
         _init_ray(args.num_cpus)
+        from miru_ray.pipelines.search import search, search_scattered
         from miru_ray.state.reader import IndexReader
+        langs = args.langs.split(",") if args.langs else None
         if args.scattered:
-            from miru_ray.pipelines.search import search_scattered
-            hits = search_scattered(args.index_dir, args.query, k=args.k)
+            hits = search_scattered(args.index_dir, args.query, args.k,
+                                    langs=langs)
         else:
-            from miru_ray.pipelines.search import search
-            hits = search(IndexReader(args.index_dir), args.query, k=args.k,
-                          langs=args.langs.split(",") if args.langs else None)
+            hits = search(IndexReader(args.index_dir), args.query, args.k,
+                          langs=langs)
         for row in hits.to_pylist():
             row["warc_ts"] = str(row["warc_ts"])
             print(json.dumps(row))

@@ -100,7 +100,7 @@ class PButNotQ:
 Filter = Term | Prefix | TermRange | Phrase | And | Or | PButNotQ
 
 
-def parse_query(q: str, schema=None) -> Filter:
+def parse_query(q: str, schema=None, stop: frozenset = frozenset()) -> Filter:
     """Query string → filter tree. AND-default; ``OR`` flips the current
     group to a union; ``-tok`` excludes; trailing ``*`` is a prefix.
 
@@ -119,21 +119,43 @@ def parse_query(q: str, schema=None) -> Filter:
     parser's PhraseQuery): the quoted text analyzes through the one
     tokenizer and must appear CONTIGUOUSLY; ``-"..."`` excludes docs
     containing the phrase. Phrases are MUST/MUST_NOT regardless of an
-    ``OR`` elsewhere in the query (AND-default operator).
+    ``OR`` elsewhere in the query (AND-default operator). A quoted
+    keyword/composite field value (``site:"Example Com"``) is one RAW
+    term, like the unquoted keyword syntax.
+
+    ``stop``: a per-language index's stopword set for the query locale.
+    Plain text tokens shed stopword sub-tokens AFTER tokenization,
+    exactly like the index side (tokenize_column_lang): 'the.' or
+    'the-merge' must not sneak a zero-posting Term('the') into an AND.
+    Grammar stays unanalyzed, like the reference's Lucene parser: the
+    OR operator (en 'or' IS a stopword!), field tokens, prefixes, and
+    quoted spans (the Phrase kernel matches the stored text's
+    plain-tokenizer sequence, so '"state of the art"' keeps 'of the').
     """
-    from miru_ray.state.schema import field_ns
+    from miru_ray.state.schema import COMPOSE_SEP, field_ns
     phrase_must: list[Filter] = []
     phrase_not: list[Filter] = []
+    raw_values: dict[str, str] = {}
 
     def take_phrase(m) -> str:
         neg, fld, body = m.group(1), m.group(2), m.group(3)
+        fd = schema.field(fld[:-1]) if fld and schema is not None else None
+        if fd is not None and fd.kind not in ("tokenized", "numeric") \
+                and body:
+            # quoted keyword/composite value (site:"Example Com"): keep it
+            # RAW — spaces and case intact — behind a whitespace-free
+            # placeholder, so the main loop's keyword branch builds the
+            # term and places it under -/OR like the unquoted form
+            key = f"\x00{len(raw_values)}\x00"
+            raw_values[key] = body
+            return f" {neg}{fld}{key} "
         toks = tokenize(body)
         if not toks:
             return " "
         if fld:
-            # fielded phrase (site:"example com"): route through the
-            # normal field:value path — field values carry no stored
-            # text to verify contiguity against, so the pre-existing
+            # other fielded phrase (tokenized site:"example com"):
+            # route through the normal field:value path — field values
+            # carry no stored text to verify contiguity against, so the
             # tokenized-field AND semantics apply ('.' rejoins tokens;
             # any non-alnum separator splits identically)
             return f" {neg}{fld}{'.'.join(toks)} "
@@ -195,13 +217,15 @@ def parse_query(q: str, schema=None) -> Filter:
                 else:
                     node = And(tuple(Term(ns + t) for t in ftoks))
             else:   # keyword/composite fields match the RAW value
+                fval = raw_values.get(fval, fval)
                 if fd.kind == "composite":
-                    from miru_ray.state.schema import COMPOSE_SEP
                     fval = fval.replace("|", COMPOSE_SEP)
                 node = Prefix(ns + fval) if is_prefix else Term(ns + fval)
             (must_not if neg else (should if use_or else must)).append(node)
             continue
         toks = tokenize(tok)   # normalize through the ONE tokenizer
+        if stop and not is_prefix and ":" not in tok:
+            toks = [t for t in toks if t not in stop]
         if not toks:
             continue
         if is_prefix:

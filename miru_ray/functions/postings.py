@@ -28,7 +28,7 @@ import numpy as np
 
 __all__ = [
     "encode_ids", "decode_ids", "decode_first_last", "encode_tfs",
-    "decode_tfs", "merge_sorted_runs", "intersect_sorted", "union_sorted",
+    "decode_tfs", "intersect_sorted", "union_sorted",
     "diff_sorted", "block_max_tf", "BLOCK_SIZE",
 ]
 
@@ -201,19 +201,6 @@ def decode_tfs(blob: bytes | memoryview) -> np.ndarray:
     if tag == 1:
         return np.frombuffer(buf[1:], dtype="u1").astype(np.int64)
     return np.frombuffer(buf[1:], dtype="<u4").astype(np.int64)
-
-
-def merge_sorted_runs(id_runs: list[np.ndarray], tf_runs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Merge disjoint sorted (ids, tfs) runs from per-batch partial postings
-    into one globally sorted posting (the segment-merge kernel, stage F).
-
-    Runs come from different input batches/partitions so ids are disjoint;
-    a concatenate+argsort (O(n log r)) is the vectorized merge.
-    """
-    ids = np.concatenate(id_runs)
-    tfs = np.concatenate(tf_runs)
-    order = np.argsort(ids, kind="stable")
-    return ids[order], tfs[order]
 
 
 # --- set algebra over decoded postings (MiruBitmaps and/or/andNot parity,

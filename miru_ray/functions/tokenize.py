@@ -15,13 +15,12 @@ has its own stopword list in ``textstats``).
 from __future__ import annotations
 
 import re
-from collections import Counter
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-__all__ = ["TOKEN_RE", "tokenize", "tokenize_column", "term_frequencies",
+__all__ = ["TOKEN_RE", "tokenize", "tokenize_column",
            "STOPWORDS", "tokenize_lang", "tokenize_column_lang",
            "phrase_occurrences", "near_pair_counts"]
 
@@ -177,9 +176,3 @@ def near_pair_counts(texts: pa.Array | pa.ChunkedArray, term_a: str,
                - np.searchsorted(pb_idx, pa_idx, side="right"))
     return np.bincount(doc_a, weights=n_pairs,
                        minlength=n_docs).astype(np.int64)
-
-
-def term_frequencies(tokens: list[str]) -> Counter:
-    """Per-document term → tf map (the reference's ``cardinality`` feature,
-    miru-plugin/.../index/MiruFieldIndex.java:37-41)."""
-    return Counter(tokens)

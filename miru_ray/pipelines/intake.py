@@ -38,7 +38,7 @@ import pyarrow.compute as pc
 from miru_ray.functions.hashing import hash_strings
 from miru_ray.sources.tables import read_table
 
-__all__ = ["mill_log_batch", "mill_log_events", "stumptown_level_counts",
+__all__ = ["mill_log_batch", "stumptown_level_counts",
            "stumptown_message_terms", "trawl_metrics_batch",
            "anomaly_bits_sum", "stumptown_index", "stumptown_search",
            "LOG_SINGLE_FIELDS"]
@@ -131,12 +131,6 @@ def mill_log_batch(t: pa.Table) -> pa.Table:
             pa.array(np.zeros(n + 1, dtype=np.int32)),
             pa.array([], pa.string())))
     return pa.Table.from_arrays(cols, names=names)
-
-
-def mill_log_events(ds):
-    """Dataset of log events → Dataset of milled activities (stateless
-    map_batches; the analyzer is a compiled module-level pattern)."""
-    return ds.map_batches(mill_log_batch, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------- stumptown

@@ -1,14 +1,15 @@
-"""BM25 query path — filter → score → top-k, plus the Ray-native batch scorer.
+"""BM25 query path — one per-partition query core, two drivers.
 
-Reference flow re-expressed (SURVEY.md §3.3): parse → filter tree over
-posting bitmaps (MiruAggregateUtil.filter) → FullText score+top-k
-(miru-stream-plugins/.../fulltext/FullText.java:99-220) → answer merge
-(MiruService.askAndMerge:101-194). Here a single candidate set is scored
-vectorized; the per-partition scatter/gather of the reference becomes
-either (a) one driver-side call for interactive queries, or (b) an
-actor-pool ``map_batches`` over a *dataset of queries* for throughput —
-each actor holds one IndexReader (model-in-__init__ pattern,
-StrutModelScorer.java).
+Reference flow re-expressed (SURVEY.md §3.3): each partition answers a
+question with ``askLocal`` on its own slice — filter tree over posting
+bitmaps (MiruAggregateUtil.filter) → FullText score+top-k
+(miru-stream-plugins/.../fulltext/FullText.java:99-220) — and an
+AnswerMerger combines the answers (MiruService.askAndMerge:101-194).
+Here ``_ask`` is that askLocal over a postings-provider view. The inline
+driver calls it once in-process with the reader itself as the view; the
+scatter driver runs it in one Ray task per partition over a
+``_RangeRestricted`` view. ``BatchSearcher`` serves a *dataset of
+queries* from an actor pool (model-in-__init__, StrutModelScorer.java).
 
 Determinism: terms scored in sorted order, float64, final order
 (score desc, docID desc) — FullText.RawBitScore comparator.
@@ -16,14 +17,25 @@ Determinism: terms scored in sorted order, float64, final order
 
 from __future__ import annotations
 
+import time
+from collections.abc import Callable
+from contextlib import suppress
+from dataclasses import dataclass
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 
-from miru_ray.functions.bm25 import bm25_term_scores, topk_order
-from miru_ray.functions.filters import evaluate, parse_query, query_terms
-from miru_ray.functions.tokenize import near_pair_counts, phrase_occurrences
-from miru_ray.functions.postings import intersect_sorted
+from miru_ray.functions.bm25 import bm25_term_scores, idf, topk_order
+from miru_ray.functions.filters import (PHRASE_VERIFY_BATCH, And, Filter, Or,
+                                        Term, evaluate, parse_query,
+                                        query_terms)
+from miru_ray.functions.postings import (BLOCK_SIZE, diff_sorted,
+                                         intersect_sorted, union_sorted)
+from miru_ray.functions.tokenize import (STOPWORDS, near_pair_counts,
+                                         phrase_occurrences, tokenize)
 from miru_ray.state.reader import IndexReader
 
 __all__ = ["search", "BatchSearcher", "score_candidates", "search_scattered",
@@ -70,8 +82,6 @@ def topk_pruned(reader: IndexReader, terms: list[str], candidates: np.ndarray,
     Replaces the reference's exhaustive newest-first walk + min-max heap
     (FullText.java:129-220) with a two-phase vectorized scan.
     """
-    from miru_ray.functions.bm25 import idf
-    from miru_ray.functions.postings import BLOCK_SIZE
     postings = reader.load_postings(sorted(set(terms)))
     if not postings or len(candidates) == 0:
         # no scoring terms (e.g. pure-prefix query): all scores are 0 and
@@ -108,7 +118,6 @@ def topk_pruned(reader: IndexReader, terms: list[str], candidates: np.ndarray,
     # tie-break, so the boundary must survive
     survivors = candidates[ub >= theta]
     # exact scores for survivors ∪ seed (dedup via union of sorted arrays)
-    from miru_ray.functions.postings import union_sorted
     final_pool = union_sorted(survivors, seed_pool)
     final_scores = score_candidates(reader, terms, final_pool)
     top = topk_order(final_scores, final_pool, k)
@@ -130,6 +139,183 @@ def _should_prune(postings_dfs: list[int], n_candidates: int, k: int) -> bool:
     if k * 8 > n_candidates:
         return False
     return min(postings_dfs) * PRUNE_RARE_RATIO <= n_candidates
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One query: a filter ``tree`` under a ``domain`` (time_range, langs,
+    authz), then EITHER a BM25 top-``k`` over ``terms`` OR, with
+    ``verify`` set, every candidate the stored-text kernel counts > 0
+    (the count in column ``out_col``)."""
+    tree: Filter
+    domain: tuple = (None, None, None)
+    terms: tuple = ()
+    k: int = 0
+    prune: bool | None = None
+    verify: Callable | None = None
+    out_col: str = ""
+
+
+def _ask(view, reader: IndexReader, plan: _Plan):
+    """The query core — one partition's askLocal (the whole index's,
+    inline): evaluate through ``view``, ANDNOT tombstones, then the
+    local top-k (ids, float64 scores), or the verify plan's match tables
+    with stored text gathered in PHRASE_VERIFY_BATCH batches so a hot
+    phrase never materializes corpus-scale text. Stats, doclens and
+    stored fields come from ``reader`` (corpus-global BM25 N/avgdl/df)."""
+    # domains compose as predicates on ONE lazy packed-bitmap mask
+    # (1 bit/doc per touched partition) ANDed against candidates during
+    # evaluation — never an explicit id array of the matching domain
+    cand = evaluate(plan.tree, view, reader.domain_mask(*plan.domain))
+    removed = reader.removed_ids()
+    if len(removed):   # removal-index ANDNOT mask (MiruRemovalIndex)
+        cand = diff_sorted(cand, removed)
+    if plan.verify is not None:
+        found = []
+        for lo in range(0, len(cand), PHRASE_VERIFY_BATCH):
+            chunk = cand[lo: lo + PHRASE_VERIFY_BATCH]
+            got = reader.gather_docs(chunk, columns=["url", "text"])
+            cnt = plan.verify(got["text"])
+            keep = cnt > 0
+            found.append(pa.table({
+                "doc_id": chunk[keep].astype(np.int64),
+                plan.out_col: cnt[keep].astype(np.int64),
+                "url": got["url"].filter(pa.array(keep))}))
+        return found
+    terms, k, use_prune = plan.terms, plan.k, plan.prune
+    if use_prune is None:
+        dfs = [reader.load_postings([t]).get(t, (None, None, 0))[2]
+               for t in terms] if len(cand) >= PRUNE_MIN_CANDIDATES else []
+        use_prune = _should_prune([d for d in dfs if d], len(cand), k)
+    if use_prune:
+        return topk_pruned(reader, terms, cand, k)
+    scores = score_candidates(reader, terms, cand)
+    top = topk_order(scores, cand, k)
+    return cand[top], scores[top]
+
+
+def _merge(reader: IndexReader, plan: _Plan, answers: list) -> pa.Table:
+    """AnswerMerger: match tables concatenate in partition (= docID)
+    order onto the typed empty; top-k answers re-select with the global
+    comparator, then the winners' stored fields are gathered."""
+    if plan.verify is not None:
+        return pa.concat_tables([pa.table({
+            "doc_id": pa.array([], pa.int64()),
+            plan.out_col: pa.array([], pa.int64()),
+            "url": pa.array([], pa.string())}),
+            *(t for tables in answers for t in tables)])
+    ids = np.concatenate([np.empty(0, np.uint64), *(a[0] for a in answers)])
+    scores = np.concatenate([np.empty(0), *(a[1] for a in answers)])
+    if len(answers) > 1:   # P local top-k heaps → one (AnswerMerger.done)
+        top = topk_order(scores, ids, plan.k)
+        ids, scores = ids[top], scores[top]
+    # gather_docs gives (doc_id, url, warc_ts, lang)
+    return reader.gather_docs(ids).add_column(
+        1, "score", pa.array(scores, pa.float64()))
+
+
+def _inline(reader: IndexReader, plan: _Plan) -> pa.Table:
+    return _merge(reader, plan, [_ask(reader, reader, plan)])
+
+
+class _RangeRestricted:
+    """PostingsProvider view clipped to one partition's docID range
+    [lo, hi) — the scatter task's view, so node-level work that scales
+    with the candidate count (the Phrase stored-text verify) runs on
+    partition-local candidates only. Clipping term/prefix/range/all id
+    streams is equivalent to post-filtering the final result because
+    every filter-algebra operation (AND/OR/ANDNOT) commutes with the
+    range restriction."""
+
+    def __init__(self, r: IndexReader, lo: np.uint64, hi: np.uint64):
+        self._r, self._lo, self._hi = r, lo, hi
+
+    def _clip(self, a: np.ndarray) -> np.ndarray:
+        return a[(a >= self._lo) & (a < self._hi)]
+
+    def ids(self, term: str) -> np.ndarray:
+        return self._clip(self._r.ids(term))
+
+    def prefix_union_ids(self, prefix: str, cap: int) -> np.ndarray:
+        return self._clip(self._r.prefix_union_ids(prefix, cap))
+
+    def range_union_ids(self, lo: str, hi: str) -> np.ndarray:
+        return self._clip(self._r.range_union_ids(lo, hi))
+
+    def all_ids(self) -> np.ndarray:
+        return self._clip(self._r.all_ids())
+
+    def stored_texts(self, doc_ids: np.ndarray):
+        return self._r.stored_texts(doc_ids)
+
+
+@ray.remote
+def _ask_partition(index_dir: str, part: int, plan: _Plan,
+                   delay: float = 0.0):
+    """One partition's askLocal as a Ray task: the core over the
+    partition's docID range. ``delay`` is the straggler test seam."""
+    if delay:
+        time.sleep(delay)
+    r = IndexReader(index_dir)
+    pi = r.parts.index(part)
+    lo = np.uint64(r.bases[pi])
+    hi = np.uint64(r.bases[pi] + r.counts[pi])
+    return _ask(_RangeRestricted(r, lo, hi), r, plan)
+
+
+def _scatter(reader: IndexReader, plan: _Plan,
+             straggler_timeout_s: float | None = None,
+             inject_delay: dict[int, float] | None = None) -> pa.Table:
+    """The scatter driver: one core task per partition (on a cluster,
+    where the partition lives), merged at the driver.
+
+    Straggler policy (the reference's lowest-latency solver,
+    MiruLowestLatencySolver.java:84-105): with ``straggler_timeout_s``
+    set, a partition still outstanding that long after the last
+    progress gets ONE duplicate task — on a cluster Ray places it on a
+    free node, i.e. another replica — and the first finisher wins; the
+    loser is cancelled. Retries cover failure, this covers slowness;
+    both attempts compute the same deterministic answer.
+    ``inject_delay`` maps partition → seconds slept by attempt 0 only."""
+    delays = inject_delay or {}
+    pending = {_ask_partition.remote(reader.index_dir, p, plan,
+                                     delays.get(p, 0.0)): p
+               for p in reader.parts}
+    answers: dict[int, object] = {}
+    backed_up: set[int] = set()
+    while pending:
+        ready, _ = ray.wait(list(pending), num_returns=1,
+                            timeout=straggler_timeout_s)
+        for ref in ready:
+            p = pending.pop(ref)
+            if p not in answers:        # first finisher wins
+                answers[p] = ray.get(ref)
+        if not ready and straggler_timeout_s is not None:
+            # timeout with no progress: race ONE backup per partition
+            # still outstanding (the solver's addAnotherSolver step)
+            for p in set(pending.values()) - backed_up:
+                backed_up.add(p)
+                pending[_ask_partition.remote(reader.index_dir, p, plan)] = p
+        # retire duplicate attempts whose partition already answered
+        for ref in [r for r, p in pending.items() if p in answers]:
+            pending.pop(ref)
+            with suppress(Exception):   # already finished: nothing to do
+                ray.cancel(ref)
+    return _merge(reader, plan, [answers[p] for p in reader.parts])
+
+
+def _query_plan(reader: IndexReader, query: str, k: int, time_range,
+                langs, authz, query_lang, prune) -> _Plan:
+    """The top-k plan :func:`search` and :func:`search_scattered` share."""
+    if query_lang is None and langs and len(langs) == 1:
+        query_lang = langs[0]
+    # a per_lang index analyzes the query with the stopword chain its
+    # docs were indexed with — one locale per query, like the reference
+    stop = STOPWORDS.get(query_lang, frozenset()) \
+        if reader.analyzer == "per_lang" and query_lang else frozenset()
+    tree = parse_query(query, reader.schema, stop)
+    return _Plan(tree, (time_range, langs, authz), tuple(query_terms(tree)),
+                 k, prune)
 
 
 def search(reader: IndexReader, query: str, k: int = 10,
@@ -156,210 +342,26 @@ def search(reader: IndexReader, query: str, k: int = 10,
     index time then matches only docs whose own language KEPT it — plain
     posting semantics. Pass ``query_lang`` to analyze explicitly.
     """
-    if query_lang is None and langs and len(langs) == 1:
-        query_lang = langs[0]
-    if reader.analyzer == "per_lang" and query_lang:
-        # per-language index: analyze the QUERY with the same stopword
-        # chain its docs were indexed with (one locale per query).
-        # Grammar tokens pass through UNANALYZED, like the reference's
-        # Lucene parser (operators/wildcards/field syntax are not terms):
-        # the OR operator (en 'or' IS a stopword!), field:value tokens
-        # (contain ':'), and prefix patterns (trailing '*').
-        from miru_ray.functions.filters import _PHRASE_RE
-        from miru_ray.functions.tokenize import STOPWORDS, tokenize
-        stop = STOPWORDS.get(query_lang, frozenset())
-        # quoted spans are held aside WHOLE (interior stopwords must
-        # survive: the Phrase verify kernel matches the stored text's
-        # plain-tokenizer sequence, so '"state of the art"' must not
-        # collapse to '"state art"') and re-substituted after the loop
-        spans: list[str] = []
-
-        def _hold(m) -> str:
-            spans.append(m.group(0))
-            return f"\x01{len(spans) - 1}\x01"
-
-        query = _PHRASE_RE.sub(_hold, query)
-        out = []
-        for t in query.split():
-            if t.upper() == "OR" or ":" in t or t.endswith("*") \
-                    or "\x01" in t:
-                out.append(t)   # grammar tokens + held quoted spans
-                continue        # pass through unanalyzed
-            # Analyze AFTER tokenization, exactly like the index side
-            # (tokenize_column_lang): 'the.' or 'the-merge' must shed the
-            # stopword sub-token, not sneak a zero-posting Term('the')
-            # into an AND. Kept sub-tokens rejoin with '.' (any
-            # non-alnum) so '-' negation still binds the whole token.
-            neg = t.startswith("-")
-            kept = [w for w in tokenize(t.lstrip("-")) if w not in stop]
-            if kept:
-                out.append(("-" if neg else "") + ".".join(kept))
-        query = " ".join(out)
-        for i, s in enumerate(spans):
-            query = query.replace(f"\x01{i}\x01", s)
-    tree = parse_query(query, reader.schema)
-    # domains compose as predicates on ONE lazy packed-bitmap mask
-    # (1 bit/doc per touched partition) ANDed against candidates during
-    # evaluation — never an explicit id array of the matching domain
-    domain = reader.domain_mask(time_range, langs, authz)
-    candidates = evaluate(tree, reader, domain)
-    removed = reader.removed_ids()
-    if len(removed):   # removal-index ANDNOT mask (MiruRemovalIndex)
-        from miru_ray.functions.postings import diff_sorted
-        candidates = diff_sorted(candidates, removed)
-    terms = query_terms(tree)
-    if prune is not None:
-        use_prune = prune
-    else:
-        dfs = [reader.load_postings([t]).get(t, (None, None, 0))[2]
-               for t in terms] if len(candidates) >= PRUNE_MIN_CANDIDATES else []
-        use_prune = _should_prune([d for d in dfs if d], len(candidates), k)
-    if use_prune:
-        top_ids, top_scores = topk_pruned(reader, terms, candidates, k)
-    else:
-        scores = score_candidates(reader, terms, candidates)
-        top = topk_order(scores, candidates, k)
-        top_ids, top_scores = candidates[top], scores[top]
-    meta = reader.gather_docs(top_ids)
-    return pa.table({
-        "doc_id": meta["doc_id"],
-        "score": pa.array(top_scores, pa.float64()),
-        "url": meta["url"],
-        "warc_ts": meta["warc_ts"],
-        "lang": meta["lang"],
-    })
+    return _inline(reader, _query_plan(reader, query, k, time_range, langs,
+                                       authz, query_lang, prune))
 
 
-class _RangeRestricted:
-    """PostingsProvider view clipped to one partition's docID range
-    [lo, hi) — used inside scatter tasks so node-level work that scales
-    with the candidate count (the Phrase stored-text verify) runs on
-    partition-local candidates only. Clipping term/prefix/range/all id
-    streams is equivalent to post-filtering the final result because
-    every filter-algebra operation (AND/OR/ANDNOT) commutes with the
-    range restriction."""
-
-    def __init__(self, r: IndexReader, lo: np.uint64, hi: np.uint64):
-        self._r, self._lo, self._hi = r, lo, hi
-        self.schema = r.schema
-
-    def _clip(self, a: np.ndarray) -> np.ndarray:
-        return a[(a >= self._lo) & (a < self._hi)]
-
-    def ids(self, term: str) -> np.ndarray:
-        return self._clip(self._r.ids(term))
-
-    def prefix_union_ids(self, prefix: str, cap: int) -> np.ndarray:
-        return self._clip(self._r.prefix_union_ids(prefix, cap))
-
-    def range_union_ids(self, lo: str, hi: str) -> np.ndarray:
-        return self._clip(self._r.range_union_ids(lo, hi))
-
-    def all_ids(self) -> np.ndarray:
-        return self._clip(self._r.all_ids())
-
-    def stored_texts(self, doc_ids: np.ndarray):
-        return self._r.stored_texts(doc_ids)
-
-
-def search_scattered(index_dir: str, query: str, k: int = 10, *,
+def search_scattered(index_dir: str, query: str, k: int = 10,
+                     time_range: tuple[int | None, int | None] | None = None,
+                     langs: list[str] | None = None,
+                     authz: list[str] | None = None, *,
+                     query_lang: str | None = None,
+                     prune: bool | None = None,
                      straggler_timeout_s: float | None = None,
-                     _inject_delay: dict[int, float] | None = None) -> pa.Table:
-    """Per-partition scatter-gather — the reference's query lifecycle
-    (MiruService.askAndMerge:101-194: per-partition Question.askLocal →
-    AnswerMerger.merge at the driver). One Ray task per partition scores
-    only its docID range and returns a local top-k; the driver merges
-    heaps with the global comparator. Rank-identical to the single-pass
-    ``search`` (pytest-verified).
-
-    On a cluster each partition task runs where its partition's docs
-    table lives; BM25 stats (N, avgdl, df) stay corpus-global.
-
-    Straggler policy (the reference's lowest-latency solver,
-    MiruLowestLatencySolver.java:84-105: race replica solvers, add one
-    more after ``addAnotherSolverAfterNMillis``, first answer wins):
-    with ``straggler_timeout_s`` set, any partition still outstanding
-    after that long since the last progress gets ONE duplicate task —
-    on a real cluster Ray schedules the backup on whatever node has a
-    free slot, i.e. a different replica of the partition data — and
-    the first finisher per partition wins; the loser is cancelled.
-    Ray's task retries cover FAILURE; this covers SLOWNESS, so one
-    slow node no longer holds the whole query. The result is
-    attempt-order-independent: both attempts compute the identical
-    deterministic partition top-k.
-
-    ``_inject_delay`` maps partition → seconds slept by attempt 0 only
-    (the pytest seam simulating a slow replica; the backup attempt
-    does not sleep)."""
-    import ray as _ray
-
+                     _inject_delay: dict[int, float] | None = None
+                     ) -> pa.Table:
+    """Per-partition scatter-gather form of :func:`search` — same options
+    and plan, rank- and float64-score-identical (pytest-verified); see
+    ``_scatter`` for ``straggler_timeout_s`` and ``_inject_delay``."""
     reader = IndexReader(index_dir)
-    parts = reader.parts
-
-    @_ray.remote
-    def ask_partition(part: int,
-                      attempt: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        if _inject_delay and attempt == 0 and part in _inject_delay:
-            import time
-            time.sleep(_inject_delay[part])
-        from miru_ray.functions.filters import evaluate as _eval
-        r = IndexReader(index_dir)
-        pi = r.parts.index(part)
-        lo = np.uint64(r.bases[pi])
-        hi = np.uint64(r.bases[pi] + r.counts[pi])
-        tree = parse_query(query, r.schema)
-        # evaluate through the range-restricted view, not the full
-        # reader: a Phrase node's stored-text verify then touches ONLY
-        # this partition's candidates — without it every task re-ran
-        # the whole corpus-wide verify before the range slice
-        cand = _eval(tree, _RangeRestricted(r, lo, hi))
-        cand = cand[(cand >= lo) & (cand < hi)]
-        removed = r.removed_ids()
-        if len(removed):
-            from miru_ray.functions.postings import diff_sorted
-            cand = diff_sorted(cand, removed)
-        terms = query_terms(tree)
-        scores = score_candidates(r, terms, cand)
-        top = topk_order(scores, cand, k)
-        return cand[top].astype(np.int64), scores[top]
-
-    pending: dict = {ask_partition.remote(p): p for p in parts}
-    answers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    backed_up: set[int] = set()
-    while pending:
-        ready, _ = _ray.wait(list(pending), num_returns=1,
-                             timeout=straggler_timeout_s)
-        for ref in ready:
-            p = pending.pop(ref)
-            if p not in answers:        # first finisher wins
-                answers[p] = _ray.get(ref)
-        if not ready and straggler_timeout_s is not None:
-            # timeout with no progress: race ONE backup per partition
-            # still outstanding (the solver's addAnotherSolver step)
-            for p in set(pending.values()):
-                if p not in backed_up and p not in answers:
-                    backed_up.add(p)
-                    pending[ask_partition.remote(p, 1)] = p
-        # retire duplicate attempts whose partition already answered
-        for ref in [r for r, p in pending.items() if p in answers]:
-            pending.pop(ref)
-            try:
-                _ray.cancel(ref)
-            except Exception:
-                pass                     # already finished: nothing to do
-    results = [answers[p] for p in parts]
-    all_ids = np.concatenate([r[0] for r in results]).astype(np.uint64)
-    all_scores = np.concatenate([r[1] for r in results])
-    top = topk_order(all_scores, all_ids, k)   # AnswerMerger.done
-    top_ids = all_ids[top]
-    meta = reader.gather_docs(top_ids)
-    return pa.table({
-        "doc_id": meta["doc_id"],
-        "score": pa.array(all_scores[top], pa.float64()),
-        "url": meta["url"],
-        "warc_ts": meta["warc_ts"],
-        "lang": meta["lang"],
-    })
+    plan = _query_plan(reader, query, k, time_range, langs, authz,
+                       query_lang, prune)
+    return _scatter(reader, plan, straggler_timeout_s, _inject_delay)
 
 
 def _require_stored_text(reader: IndexReader, op: str) -> None:
@@ -375,185 +377,80 @@ def _require_stored_text(reader: IndexReader, op: str) -> None:
             f"column to verify positions against)")
 
 
-def _positional_candidates(reader: IndexReader,
-                           terms: list[str]) -> np.ndarray:
-    """Postings AND over the distinct analyzed terms, built as a Filter
-    tree DIRECTLY — not through parse_query, whose grammar would read
-    the analyzed token 'or' as the OR operator (and ':' / trailing '*'
-    as field/prefix syntax). Analyzed tokens are data here, never query
-    syntax. Removal mask applied like every query path."""
-    from miru_ray.functions.filters import And, Term
-    from miru_ray.functions.postings import diff_sorted
-    tree = And(tuple(Term(t) for t in sorted(set(terms))))
-    cand = evaluate(tree, reader, reader.domain_mask(None, None, None))
-    removed = reader.removed_ids()
-    if len(removed):
-        cand = diff_sorted(cand, removed)
-    return cand
-
-
-def _positional_search(reader: IndexReader, terms: list[str], verify,
-                       out_col: str, batch_size: int = 8192) -> pa.Table:
-    """Driver-side core shared by phrase_search and near_search:
-    postings-AND candidates → batched partition-pruned stored-text
-    gather → ``verify`` kernel → survivors-only assembly."""
+def _positional_plan(reader: IndexReader, terms: list[str], verify,
+                     out_col: str) -> _Plan:
+    """Match-all plan of the phrase and near queries — candidate-then-
+    verify, since the index stores (df, cf, docids, tfs) but no
+    positions (like the reference's bitmap indexes,
+    MiruFieldIndex.java:12-43). CANDIDATES are a postings AND over the
+    distinct analyzed terms (a doc missing one cannot match), built
+    DIRECTLY: parse_query would read the analyzed token 'or' as the OR
+    operator (and ':' / '*' as field/prefix syntax) — tokens are data
+    here, and no terms is the empty union, not match-all. The core then
+    VERIFIES only the candidates' stored text with ``verify``, so the
+    cost is bounded by the AND candidate count, never the corpus."""
     _require_stored_text(reader, "positional query")
-    empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                      out_col: pa.array([], pa.int64()),
-                      "url": pa.array([], pa.string())})
-    if not terms or not reader.parts:
-        return empty
-    candidates = _positional_candidates(reader, terms)
-    if len(candidates) == 0:
-        return empty
-    ids_parts, cnt_parts, url_parts = [], [], []
-    for lo in range(0, len(candidates), batch_size):
-        chunk = candidates[lo: lo + batch_size].astype(np.uint64)
-        got = reader.gather_docs(chunk, columns=["url", "text"])
-        cnt = verify(got["text"])
-        keep = cnt > 0
-        if keep.any():
-            ids_parts.append(chunk[keep].astype(np.int64))
-            cnt_parts.append(cnt[keep])
-            url_parts.append(
-                got["url"].combine_chunks().filter(pa.array(keep)))
-    if not ids_parts:
-        return empty
-    return pa.table({
-        "doc_id": pa.array(np.concatenate(ids_parts), pa.int64()),
-        out_col: pa.array(np.concatenate(cnt_parts), pa.int64()),
-        "url": pa.chunked_array(url_parts, pa.string()),
-    })
+    tree = And(tuple(Term(t) for t in sorted(set(terms)))) if terms \
+        else Or(())
+    return _Plan(tree, verify=verify, out_col=out_col)
 
 
-def near_search(reader: IndexReader, term_a: str, term_b: str,
-                slop: int = 3, batch_size: int = 8192) -> pa.Table:
-    """Ordered PROXIMITY query (Lucene's "a b"~slop, directional): docs
-    where ``term_b`` follows ``term_a`` within ``slop`` intervening
-    tokens, with the exact pair count. Same candidate-then-verify plan
-    as :func:`phrase_search` (the index has no positional postings):
-    postings AND of the two terms prefilters, the stored-text gather +
-    :func:`near_pair_counts` verifies. Returns (doc_id, n_pairs, url)
-    ordered by internal docID. Each term must analyze to exactly ONE
-    token (raises ValueError otherwise — a silent empty would be
-    indistinguishable from 'no matches')."""
-    a, b = _near_terms(term_a, term_b)
-    return _positional_search(
-        reader, [a, b],
-        lambda texts: near_pair_counts(texts, a, b, slop), "n_pairs")
+def _phrase_plan(reader: IndexReader, phrase: str) -> _Plan:
+    terms = tokenize(phrase)
+    return _positional_plan(reader, terms,
+                            partial(phrase_occurrences, terms=terms), "n_occ")
 
 
-def _near_terms(term_a: str, term_b: str) -> tuple[str, str]:
-    from miru_ray.functions.tokenize import tokenize
+def _near_plan(reader: IndexReader, term_a: str, term_b: str,
+               slop: int) -> _Plan:
     ta, tb = tokenize(term_a), tokenize(term_b)
     if len(ta) != 1 or len(tb) != 1:
         raise ValueError(
             f"near terms must each analyze to exactly one token; got "
             f"{term_a!r} -> {ta} and {term_b!r} -> {tb} (use "
             f"phrase_search for multi-token sequences)")
-    return ta[0], tb[0]
+    a, b = ta[0], tb[0]
+    return _positional_plan(
+        reader, [a, b],
+        partial(near_pair_counts, term_a=a, term_b=b, slop=slop), "n_pairs")
 
 
-def phrase_search(reader: IndexReader, phrase: str,
-                  batch_size: int = 8192) -> pa.Table:
+def phrase_search(reader: IndexReader, phrase: str) -> pa.Table:
     """Exact PHRASE match — docs whose analyzed token sequence contains
     ``phrase``'s analyzed tokens contiguously — WITHOUT positional
-    postings. Returns (doc_id, n_occ, url) for matching docs, ordered
-    by internal docID.
-
-    Two-stage shape (the same candidate-then-verify plan the near-dup
-    verifiers and the highlighter use, since this index stores
-    (df, cf, docids, tfs) but not positions — matching the reference's
-    position-free bitmap indexes, MiruFieldIndex.java:12-43):
-
-    1. CANDIDATES from the index: a postings AND over the phrase's
-       distinct terms (a doc missing any term cannot contain the
-       phrase) — pure index arithmetic, no text touched, and the same
-       removal-mask ANDNOT every query path applies.
-    2. VERIFY on the candidates only: stored text gathered batched +
-       partition-pruned (``gather_docs``), tokenized with the ONE
-       shared analyzer kernel, occurrences counted by the vectorized
-       :func:`phrase_occurrences`. Candidate batches stream through
-       the loop; the verify cost is bounded by the AND candidate
-       count, never the corpus. The cluster-scale form is
-       :func:`phrase_search_scattered` — candidates AND verify run
-       inside each partition's task, result-identical
-       (pytest-pinned).
-
-    A single-term phrase degenerates to term-occurrence count (== tf).
-    """
-    from miru_ray.functions.tokenize import tokenize
-    terms = tokenize(phrase)
-    return _positional_search(
-        reader, terms,
-        lambda texts: phrase_occurrences(texts, terms), "n_occ",
-        batch_size=batch_size)
+    postings (see ``_positional_plan``): occurrences counted by the
+    vectorized :func:`phrase_occurrences` on the AND candidates' stored
+    text. Returns (doc_id, n_occ, url) ordered by internal docID. A
+    single-term phrase degenerates to term-occurrence count (== tf)."""
+    return _inline(reader, _phrase_plan(reader, phrase))
 
 
-def _positional_scattered(index_dir: str, terms: list[str], verify,
-                          out_col: str) -> pa.Table:
-    """Scatter core shared by the positional queries' per-partition
-    forms: one Ray task per partition ANDs its OWN postings slice,
-    gathers its OWN stored text (candidates are in the partition's
-    docID range, so the gather is partition-local by construction) and
-    runs ``verify`` there — only surviving (doc_id, count, url) rows
-    leave a partition. The 100-TB shape the driver-side loop in
-    phrase_search/near_search documents: on a cluster each task runs
-    where its partition lives, like search_scattered."""
-    import ray as _ray
-
-    reader = IndexReader(index_dir)
-    _require_stored_text(reader, "positional scatter query")
-    if not terms:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         out_col: pa.array([], pa.int64()),
-                         "url": pa.array([], pa.string())})
-
-    @_ray.remote
-    def ask(part: int):
-        r = IndexReader(index_dir)
-        pi = r.parts.index(part)
-        lo = np.uint64(r.bases[pi])
-        hi = np.uint64(r.bases[pi] + r.counts[pi])
-        cand = _positional_candidates(r, terms)
-        cand = cand[(cand >= lo) & (cand < hi)]
-        if len(cand) == 0:
-            return np.empty(0, np.int64), np.empty(0, np.int64), []
-        got = r.gather_docs(cand.astype(np.uint64), columns=["url", "text"])
-        cnt = verify(got["text"])
-        keep = cnt > 0
-        urls = got["url"].combine_chunks().filter(pa.array(keep))
-        return cand[keep].astype(np.int64), cnt[keep], urls.to_pylist()
-
-    results = _ray.get([ask.remote(p) for p in reader.parts])
-    return pa.table({
-        "doc_id": pa.array(np.concatenate([r[0] for r in results]),
-                           pa.int64()),
-        out_col: pa.array(np.concatenate([r[1] for r in results]),
-                          pa.int64()),
-        "url": pa.array([u for r in results for u in r[2]], pa.string()),
-    })
+def near_search(reader: IndexReader, term_a: str, term_b: str,
+                slop: int = 3) -> pa.Table:
+    """Ordered PROXIMITY query (Lucene's "a b"~slop, directional): docs
+    where ``term_b`` follows ``term_a`` within ``slop`` intervening
+    tokens, with the exact pair count (:func:`near_pair_counts` on the
+    AND candidates' stored text). Returns (doc_id, n_pairs, url)
+    ordered by internal docID. Each term must analyze to exactly ONE
+    token (raises ValueError otherwise — a silent empty would be
+    indistinguishable from 'no matches')."""
+    return _inline(reader, _near_plan(reader, term_a, term_b, slop))
 
 
 def phrase_search_scattered(index_dir: str, phrase: str) -> pa.Table:
     """Per-partition scatter form of :func:`phrase_search` — identical
     result (pytest-pinned), but candidates AND verify both run inside
     the partition task, so nothing but matches crosses the wire."""
-    from miru_ray.functions.tokenize import tokenize
-    terms = tokenize(phrase)
-    return _positional_scattered(
-        index_dir, terms,
-        lambda texts: phrase_occurrences(texts, terms), "n_occ")
+    reader = IndexReader(index_dir)
+    return _scatter(reader, _phrase_plan(reader, phrase))
 
 
 def near_search_scattered(index_dir: str, term_a: str, term_b: str,
                           slop: int = 3) -> pa.Table:
     """Per-partition scatter form of :func:`near_search` — identical
     result (pytest-pinned), partition-local candidates + verify."""
-    a, b = _near_terms(term_a, term_b)
-    return _positional_scattered(
-        index_dir, [a, b],
-        lambda texts: near_pair_counts(texts, a, b, slop), "n_pairs")
+    reader = IndexReader(index_dir)
+    return _scatter(reader, _near_plan(reader, term_a, term_b, slop))
 
 
 def highlight_hits(reader: IndexReader, hits: pa.Table, query: str,

@@ -19,7 +19,7 @@ import pyarrow as pa
 from miru_ray.functions.postings import encode_many_ids, encode_many_tfs
 from miru_ray.functions.tokenize import tokenize_column, tokenize_column_lang
 
-__all__ = ["invert_docs", "doc_lengths"]
+__all__ = ["invert_docs"]
 
 
 def invert_docs(texts: pa.Array | pa.ChunkedArray,
@@ -99,10 +99,3 @@ def invert_docs(texts: pa.Array | pa.ChunkedArray,
         "tfs": pa.array(tf_blobs, pa.binary()),
     })
     return postings, doclens
-
-
-def doc_lengths(texts: pa.Array | pa.ChunkedArray) -> np.ndarray:
-    """Token count per document (BM25 dl; also the token-counting operator)."""
-    tok_lists = tokenize_column(texts)
-    offsets = tok_lists.offsets.to_numpy(zero_copy_only=False)
-    return np.diff(offsets).astype(np.int64)

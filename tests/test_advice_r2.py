@@ -1,4 +1,4 @@
-"""Round-2 hardening: duplicate-row dedup in the shuffle-light build,
+"""Round-2 hardening: duplicate-row dedup in the build,
 extractor-version resume staleness, sip content digests, empty-index search."""
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pyarrow.parquet as pq
 import pytest
 
 from miru_ray.pipelines.build import BuildConfig, build_index
-from miru_ray.pipelines.build_light import build_index_shuffle_light
 from miru_ray.sources.fixtures import generate_pages
 
 
@@ -28,43 +27,19 @@ def _digest(d: str) -> str:
     return h.hexdigest()
 
 
-def test_light_build_dedups_exact_duplicate_rows(tmp_path, ray_session):
+def test_build_dedups_exact_duplicate_rows(tmp_path, ray_session):
     """Exact duplicate rows (same url AND warc_ts AND payload — replayed /
-    at-least-once input) must not double tf/cf/df in the shuffle-light path."""
+    at-least-once input) must not double tf/cf/df: the build over the
+    base pages plus 40 exact copies equals the build over the base."""
     base = generate_pages(0, 260)
     dup = pa.concat_tables([base, base.slice(10, 40)])  # 40 exact copies
     cfg = BuildConfig(num_parts=4, num_shards=2)
-    d_def = str(tmp_path / "default")
-    d_light = str(tmp_path / "light")
-    build_index(dup, d_def, cfg)
-    build_index_shuffle_light(dup, d_light, cfg)
-    assert _digest(d_def) == _digest(d_light)
-
-
-def test_merge_rows_global_drops_cross_batch_duplicates():
-    """Duplicate (term, docid) partials — copies that landed in different
-    read batches — dedup keep-first at merge."""
-    from miru_ray.functions.postings import (decode_ids, decode_tfs,
-                                             encode_ids, encode_tfs)
-    from miru_ray.stages.invert_global import merge_rows_global
-    ids_a = np.array([3, 7], dtype=np.uint64)
-    ids_b = np.array([7, 9], dtype=np.uint64)   # docid 7 replayed
-    rows = pa.table({
-        "term": pa.array(["t", "t"], pa.string()),
-        "df": pa.array([2, 2], pa.int64()),
-        "cf": pa.array([5, 6], pa.int64()),
-        "docids": pa.array([encode_ids(ids_a), encode_ids(ids_b)], pa.binary()),
-        "tfs": pa.array([encode_tfs(np.array([2, 3])),
-                         encode_tfs(np.array([3, 3]))], pa.binary()),
-        "shard": pa.array([0, 0], pa.int64()),
-    })
-    merged = merge_rows_global(rows)
-    assert merged.num_rows == 1
-    assert merged["df"][0].as_py() == 3
-    assert decode_ids(merged["docids"][0].as_py()).tolist() == [3, 7, 9]
-    # keep-first: docid 7 keeps tf=3 from the first partial
-    assert decode_tfs(merged["tfs"][0].as_py()).tolist() == [2, 3, 3]
-    assert merged["cf"][0].as_py() == 8
+    d_base = str(tmp_path / "base")
+    d_dup = str(tmp_path / "dup")
+    m_base = build_index(base, d_base, cfg)
+    m_dup = build_index(dup, d_dup, cfg)
+    assert m_dup["n_docs"] == m_base["n_docs"] == 259
+    assert _digest(d_dup) == _digest(d_base)
 
 
 def test_resume_rebuilds_stale_extractor_version(tmp_path, ray_session):
@@ -121,8 +96,9 @@ def test_sip_detects_content_only_change_text_mode(tmp_path, ray_session):
 
 
 def test_empty_source_builds_and_searches(tmp_path, ray_session):
-    """Build over 0 rows yields a searchable (empty) index — no crash."""
-    from miru_ray.pipelines.search import search
+    """Build over 0 rows yields a searchable (empty) index — no crash,
+    inline or scattered (zero partitions: the merge has no answers)."""
+    from miru_ray.pipelines.search import search, search_scattered
     from miru_ray.sources.fixtures import pages_table
     from miru_ray.state.reader import IndexReader
     idx = str(tmp_path / "empty_idx")
@@ -132,6 +108,8 @@ def test_empty_source_builds_and_searches(tmp_path, ray_session):
     hits = search(r, "anything at all", k=10)
     assert hits.num_rows == 0
     assert hits.column_names == ["doc_id", "score", "url", "warc_ts", "lang"]
+    assert r.parts == []
+    assert search_scattered(idx, "anything at all", k=10).equals(hits)
     # gather over an empty request on a NON-empty index also short-circuits
     assert r.gather_docs(np.empty(0, dtype=np.uint64)).num_rows == 0
 
@@ -140,12 +118,20 @@ def test_empty_index_positional_queries(tmp_path, ray_session):
     """Positional queries on a ZERO-row index return empty like every
     other query path — the store_text guard must not fire there (a
     zero-partition index has no docs file to prove the flag)."""
-    from miru_ray.pipelines.search import near_search, phrase_search
+    from miru_ray.pipelines.search import (near_search,
+                                           near_search_scattered,
+                                           phrase_search,
+                                           phrase_search_scattered)
     from miru_ray.sources.fixtures import pages_table
     from miru_ray.state.reader import IndexReader
     idx = str(tmp_path / "empty_idx_pos")
     build_index(pages_table(0), idx,
                 BuildConfig(num_parts=2, num_shards=1, store_text=True))
     r = IndexReader(idx)
-    assert phrase_search(r, "key value").num_rows == 0
-    assert near_search(r, "key", "value", 3).num_rows == 0
+    assert r.parts == []
+    phrase = phrase_search(r, "key value")
+    assert phrase.num_rows == 0
+    assert phrase_search_scattered(idx, "key value").equals(phrase)
+    near = near_search(r, "key", "value", 3)
+    assert near.num_rows == 0
+    assert near_search_scattered(idx, "key", "value", 3).equals(near)

@@ -39,6 +39,15 @@ def test_cli_build_search_sync(tmp_path):
     assert all("needle7" not in l["url"] or True for l in lines)
     assert lines[0]["score"] >= lines[-1]["score"]
 
+    # --scattered takes the same options as the inline search (--langs)
+    for lang, n in (("de", 0), ("es", 2)):
+        inline = _run("search", idx, "needle7", "-k", "10", "--langs", lang)
+        assert len(inline.strip().splitlines()) == n
+        assert _run("search", idx, "needle7", "-k", "10", "--langs", lang,
+                    "--scattered") == inline
+    assert _run("search", idx, "needle7", "-k", "10", "--scattered") == \
+        _run("search", idx, "needle7", "-k", "10")
+
     dst = str(tmp_path / "replica")
     prog = json.loads(_run("sync", idx, dst).strip().splitlines()[-1])
     assert prog["synced"] and not prog["skipped"]

@@ -14,7 +14,8 @@ from miru_ray.sources.queryset import reference_queries
 from tests.conftest import N_FIXTURE_ROWS
 
 
-def test_reference_queryset_rank_identical(reader, oracle):
+def test_reference_queryset_rank_identical(reader, oracle, index_dir):
+    from miru_ray.pipelines.search import search_scattered
     qs = reference_queries(N_FIXTURE_ROWS)
     assert len(qs) == 50
     for q in qs:
@@ -25,6 +26,11 @@ def test_reference_queryset_rank_identical(reader, oracle):
         assert np.array_equal(hits["doc_id"].to_numpy(), oid), q
         # scores must be exactly equal (same float64 ops, same order)
         assert np.array_equal(hits["score"].to_numpy(), osc), q
+        # the per-partition scatter form answers the same plan
+        sc = search_scattered(index_dir, q["query"], k=10,
+                              time_range=q["time_range"], langs=q["langs"])
+        assert np.array_equal(sc["doc_id"].to_numpy(), oid), q
+        assert np.array_equal(sc["score"].to_numpy(), osc), q
 
 
 def test_filter_semantics_vs_oracle(reader, oracle):
@@ -181,6 +187,46 @@ def test_scatter_straggler_noop_when_all_fast(index_dir, reader):
                          straggler_timeout_s=0.5)
     assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist()
     assert np.array_equal(a["score"].to_numpy(), b["score"].to_numpy())
+
+
+def test_scattered_takes_every_search_option(index_dir, reader, tmp_path):
+    """search_scattered shares search's plan builder: authz, query_lang on
+    a per_lang index, and forced prune on/off answer exactly like the
+    inline search (ids and float64 scores)."""
+    from miru_ray.pipelines.build import BuildConfig, build_index
+    from miru_ray.pipelines.search import search_scattered
+    from miru_ray.sources.fixtures import generate_pages
+    from miru_ray.state.reader import IndexReader
+    from tests.test_authz import _authz_pages
+
+    def same(a, b):
+        assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist()
+        assert np.array_equal(a["score"].to_numpy(), b["score"].to_numpy())
+
+    for prune in (True, False):
+        for q in ("w00000 OR w00001", "needle7 OR w00003"):
+            want = search(reader, q, 10, prune=prune)
+            assert want.num_rows == 10
+            same(search_scattered(index_dir, q, 10, prune=prune), want)
+
+    d = str(tmp_path / "authz")
+    build_index(_authz_pages(), d, BuildConfig(num_parts=2, num_shards=2))
+    r = IndexReader(d)
+    for labels in (["team-a"], ["team-b", "public"], []):
+        want = search(r, "common", 10, authz=labels)
+        same(search_scattered(d, "common", 10, authz=labels), want)
+    assert search_scattered(d, "common", 10, None, None,
+                            ["team-a"]).num_rows == 2
+
+    d = str(tmp_path / "per_lang")
+    build_index(generate_pages(0, 400), d,
+                BuildConfig(num_parts=2, num_shards=2, analyzer="per_lang"))
+    r = IndexReader(d)
+    q = "the w00001 of w00002"
+    want = search(r, q, 5, query_lang="en")
+    assert want.num_rows == 5
+    assert want.equals(search(r, "w00001 w00002", 5, query_lang="en"))
+    same(search_scattered(d, q, 5, query_lang="en"), want)
 
 
 def test_aggregate_counts_pagination():
@@ -502,6 +548,56 @@ def test_quoted_parser_edge_cases():
     # anchored negation still works
     t = parse_query('x -"a b"')
     assert t == PButNotQ((And((Term("x"),)), Phrase(("a", "b"))))
+    # a quoted KEYWORD/composite value is one raw term — case, spaces and
+    # dots kept ('|' composes), never re-tokenized into 'example.com' —
+    # and it combines under -/OR exactly like the unquoted form
+    from miru_ray.functions.filters import Or
+    sch = IndexSchema((FieldDef("site", "keyword"),
+                       FieldDef("sl", "composite", source=("site", "lang"))))
+    ns = field_ns("site")
+    assert parse_query('site:"Example Com"', sch) == \
+        And((Term(ns + "Example Com"),))
+    assert parse_query('x -site:"A b"', sch) == \
+        PButNotQ((And((Term("x"),)), Term(ns + "A b")))
+    assert parse_query('site:"a.com" OR site:"b.com"', sch) == \
+        Or((Term(ns + "a.com"), Term(ns + "b.com"))) == \
+        parse_query('site:a.com OR site:b.com', sch)
+    from miru_ray.state.schema import COMPOSE_SEP
+    assert parse_query('sl:"Example Com|en"', sch) == \
+        And((Term(field_ns("sl") + "Example Com" + COMPOSE_SEP + "en"),))
+
+
+def test_keyword_field_quoted_value_search(tmp_path, ray_session):
+    """A keyword value containing a space and a capital is reachable by
+    the quoted field syntax, inline and scattered, and matches the
+    brute-force oracle."""
+    import pyarrow as pa
+    from miru_ray.oracle import OracleIndex
+    from miru_ray.pipelines.build import BuildConfig, build_index
+    from miru_ray.pipelines.search import search_scattered
+    from miru_ray.sources.fixtures import generate_pages
+    from miru_ray.state.reader import IndexReader
+    from miru_ray.state.schema import FieldDef, IndexSchema
+    sch = IndexSchema((FieldDef("site", "keyword"),))
+    pages = generate_pages(0, 60)
+    site = ["Example Com" if i % 7 == 0 else f"site{i % 3}"
+            for i in range(pages.num_rows)]
+    pages = pages.append_column("site", pa.array(site, pa.string()))
+    d = str(tmp_path / "kw")
+    build_index(pages, d, BuildConfig(num_parts=2, num_shards=1, schema=sch))
+    r = IndexReader(d)
+    o = OracleIndex(pages, num_parts=2, schema=sch)
+    want = {u for u, s in zip(pages["url"].to_pylist(), site)
+            if s == "Example Com"}
+    hits = search(r, 'site:"Example Com"', k=100)
+    assert set(hits["url"].to_pylist()) == want and hits.num_rows > 0
+    oid, _ = o.search('site:"Example Com"', k=100)
+    assert np.array_equal(hits["doc_id"].to_numpy(), oid)
+    assert search_scattered(d, 'site:"Example Com"', k=100).equals(hits)
+    assert search(r, 'site:"example com"', k=100).num_rows == 0
+    union = search(r, 'site:"Example Com" OR site:"site1"', k=100)
+    assert set(union["url"].to_pylist()) == want | {
+        u for u, s in zip(pages["url"].to_pylist(), site) if s == "site1"}
 
 
 def test_per_lang_quoted_phrase_survives_stopwords(ray_session, tmp_path):
