@@ -1,115 +1,97 @@
-"""HTML → text extraction — pure function + the byte-identity contract.
+"""HTML → text extraction — one Arrow/RE2 column kernel.
 
 The reference has no HTML stage (values arrive pre-fielded as strings,
 miru-api/.../activity/MiruActivity.java:41); the north-rule adds it for
 Common-Crawl-style pages. Contract (BASELINE.json input_hint): extraction
-must be **byte-identical per url** to the golden ``text`` column —
-verified by pytest at fixture-generation time and per build.
+must be **byte-identical per url** to the golden ``text`` column. The
+build (stages/extract.py), the oracle and the fixture check all run
+``extract_column``; ``extract_text`` is its one-row form.
 
-Design: a single pure function ``extract_text`` (stdlib HTMLParser, no
-regexes over markup) shared by the fixture generator, the distributed
-actor-pool stage (stages/extract.py) and the oracle. Boilerplate elements
-(script/style/nav/header/footer/noscript/template) are dropped; block
-elements contribute text separated by a single newline; inline whitespace
-is collapsed.
+Steps, in order. Each regex step is one RE2 pass over the column: linear
+time, no backtracking, so malformed markup such as an unclosed
+``<style>`` costs no more than well-formed markup.
+
+1. bytes decode as UTF-8; invalid sequences become U+FFFD.
+2. A skip element (script/style/nav/header/footer/noscript/template) is
+   dropped from its open tag through the first close tag of the same
+   name. One leftmost-first alternation does this for all seven names;
+   an unclosed one is left to step 4.
+3. Block tags become a newline.
+4. Every other tag becomes a space.
+5. Rows that still contain ``&`` are unescaped with ``html.unescape``.
+6. Inline runs of ASCII ``[ \\t\\r\\f\\v]`` collapse to one space.
+7. Each line is stripped of the 29 ``str.isspace()`` characters, and
+   empty lines are dropped.
+
+RE2's ``\\b`` and ``\\s`` are ASCII-only, so the patterns spell out
+Unicode word characters (a tag name ends before a character that is not
+a letter, digit or ``_``) and the ``str.isspace()`` set. Tag names match
+case-insensitively under RE2's Unicode case folding.
 """
 
 from __future__ import annotations
 
-from html.parser import HTMLParser
+from html import unescape
 
-__all__ = ["extract_text", "extract_text_reference", "EXTRACTOR_VERSION"]
+import pyarrow as pa
+import pyarrow.compute as pc
+
+__all__ = ["extract_column", "extract_text", "EXTRACTOR_VERSION"]
 
 # Bump when extraction semantics change; recorded in index manifests so a
 # resume never mixes extractor versions.
-EXTRACTOR_VERSION = 1
+EXTRACTOR_VERSION = 2
 
-_SKIP = {"script", "style", "nav", "header", "footer", "noscript", "template"}
-_BLOCK = {
-    "p", "div", "title", "h1", "h2", "h3", "h4", "h5", "h6", "li", "br",
-    "tr", "td", "th", "table", "ul", "ol", "article", "section", "body",
-    "blockquote", "pre",
-}
-
-
-class _TextExtractor(HTMLParser):
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self._skip_depth = 0
-        self._chunks: list[str] = []   # collected block texts
-        self._cur: list[str] = []      # inline pieces of the current block
-
-    def _flush_block(self) -> None:
-        text = " ".join(" ".join(self._cur).split())
-        self._cur = []
-        if text:
-            self._chunks.append(text)
-
-    def handle_starttag(self, tag, attrs):
-        if tag in _SKIP:
-            self._skip_depth += 1
-        elif tag in _BLOCK:
-            self._flush_block()
-
-    def handle_endtag(self, tag):
-        if tag in _SKIP:
-            if self._skip_depth > 0:
-                self._skip_depth -= 1
-        elif tag in _BLOCK:
-            self._flush_block()
-
-    def handle_data(self, data):
-        if self._skip_depth == 0 and data:
-            self._cur.append(data)
-
-    def result(self) -> str:
-        self._flush_block()
-        return "\n".join(self._chunks)
+_SKIP = ("script", "style", "nav", "header", "footer", "noscript", "template")
+_BLOCK = ("p|div|title|h[1-6]|li|br|tr|td|th|table|ul|ol|article|section|"
+          "body|blockquote|pre")
+# the characters str.isspace() (and so str.strip()) treats as whitespace
+_SPACE = (r"[\t\n\v\f\r\x1c-\x1f \x85\xa0\x{1680}\x{2000}-\x{200a}"
+          r"\x{2028}\x{2029}\x{202f}\x{205f}\x{3000}]")
 
 
-def extract_text_reference(html: bytes | str) -> str:
-    """Reference implementation (stdlib HTMLParser) — the semantic spec.
-    Kept for cross-checking the fast path (tests assert byte-identity)."""
-    if isinstance(html, (bytes, bytearray, memoryview)):
-        html = bytes(html).decode("utf-8", errors="replace")
-    parser = _TextExtractor()
-    parser.feed(html)  # convert_charrefs=True unescapes entities in handle_data
-    parser.close()
-    return parser.result()
+def _tag_patterns(word: str) -> tuple[str, str]:
+    """(skip element, block tag) patterns. A tag name must end at a
+    character outside the ``word`` class, as at Python's ``\\b``."""
+    rest = rf"(?:[^{word}>][^>]*)?>"
+    skip = "|".join(f"<(?i:{t}){rest}(?s:.*?)</(?i:{t}){_SPACE}*>" for t in _SKIP)
+    return skip, f"</?(?i:{_BLOCK}){rest}"
 
 
-# --- fast path: same semantics via compiled regex chain (~2.5x faster);
-# byte-identity vs the HTMLParser reference is pytest-enforced on the
-# fixture corpus and edge cases ---
-import re as _re
-from html import unescape as _unescape
+# Word characters are Unicode letters, digits and '_'. RE2 spends
+# milliseconds compiling each \pL\pN class on every call, so a pass uses the
+# ASCII class unless its input has a tag name followed by a non-ASCII
+# character; otherwise the two classes give the same result.
+_ASCII_WORD = _tag_patterns("0-9A-Za-z_")
+_UNICODE_WORD = _tag_patterns(r"\pL\pN_")
+_NAME_THEN_NON_ASCII = rf"</?(?i:{'|'.join(_SKIP)}|{_BLOCK})[^\x00-\x7f]"
+_WS_STEPS = ((r"[ \t\r\f\v]+", " "),
+             (f"{_SPACE}*\n{_SPACE}*", "\n"),
+             (f"^{_SPACE}+|{_SPACE}+$", ""))
 
-_SKIP_RE = _re.compile(
-    r"<(script|style|nav|header|footer|noscript|template)\b[^>]*>.*?</\1\s*>",
-    _re.S | _re.I)
-_BLOCK_RE = _re.compile(
-    r"</?(?:p|div|title|h[1-6]|li|br|tr|td|th|table|ul|ol|article|section|"
-    r"body|blockquote|pre)\b[^>]*/?>", _re.I)
-_TAG_RE = _re.compile(r"<[^>]+>")
-_WS_RE = _re.compile(r"[ \t\r\f\v]+")
+
+def extract_column(html: pa.Array | pa.ChunkedArray) -> pa.Array | pa.ChunkedArray:
+    """html (binary or string) → extracted text (string); nulls stay null."""
+    try:
+        s = html.cast(pa.string())
+    except pa.ArrowInvalid:   # invalid UTF-8: decode as bytes.decode(errors="replace")
+        s = pa.array([None if h is None else h.decode("utf-8", "replace")
+                      for h in html.to_pylist()], pa.string())
+    for step, repl in enumerate(("", "\n")):   # skip elements, then block tags
+        unicode = pc.any(pc.match_substring_regex(s, _NAME_THEN_NON_ASCII)).as_py()
+        pattern = (_UNICODE_WORD if unicode else _ASCII_WORD)[step]
+        s = pc.replace_substring_regex(s, pattern, repl)
+    s = pc.replace_substring_regex(s, "<[^>]+>", " ")
+    if pc.any(pc.match_substring(s, "&")).as_py():
+        s = pa.array([None if v is None else unescape(v) for v in s.to_pylist()],
+                     pa.string())
+    for pattern, repl in _WS_STEPS:
+        s = pc.replace_substring_regex(s, pattern, repl)
+    return s
 
 
 def extract_text(html: bytes | str) -> str:
-    """Pure, deterministic HTML → text. bytes are decoded utf-8 (replace).
-
-    Drops skip-element subtrees, turns block tags into newlines, strips
-    remaining tags, unescapes entities, collapses inline whitespace and
-    joins non-empty blocks with a single newline.
-    """
-    if isinstance(html, (bytes, bytearray, memoryview)):
-        html = bytes(html).decode("utf-8", errors="replace")
-    s = _SKIP_RE.sub("", html)
-    s = _BLOCK_RE.sub("\n", s)
-    s = _TAG_RE.sub(" ", s)
-    s = _unescape(s)
-    lines = []
-    for line in s.split("\n"):
-        line = _WS_RE.sub(" ", line).strip()
-        if line:
-            lines.append(line)
-    return "\n".join(lines)
+    """One-row form of ``extract_column``."""
+    if isinstance(html, (bytearray, memoryview)):
+        html = bytes(html)
+    return extract_column(pa.array([html])).to_pylist()[0]

@@ -262,21 +262,6 @@ def parse_query(q: str, schema=None, stop: frozenset = frozenset()) -> Filter:
     return pos
 
 
-def parse_field_filter(spec: str) -> dict[str, list[str]]:
-    """Filter-string DSL: ``"lang:en,de warc_ts:..."`` →
-    {field: [values]} — the reference's FilterStringUtil comma syntax
-    (miru-api/.../query/filter/FilterStringUtil.java:24-72). Known fields
-    feed the search domain masks (lang → lang_domain); the ``text`` field
-    feeds the term filter tree."""
-    out: dict[str, list[str]] = {}
-    for part in spec.split():
-        if ":" not in part:
-            continue
-        field, vals = part.split(":", 1)
-        out.setdefault(field, []).extend(v for v in vals.split(",") if v)
-    return out
-
-
 def query_terms(f: Filter) -> list[str]:
     """All positive PRIMARY-field Term leaves, sorted — the BM25 scoring
     terms. Namespaced secondary-field terms (``\\x00field\\x00value``)

@@ -15,7 +15,7 @@ import numpy as np
 import pyarrow as pa
 
 from miru_ray.functions.bm25 import bm25_term_scores, topk_order
-from miru_ray.functions.extract import extract_text
+from miru_ray.functions.extract import extract_column
 from miru_ray.functions.filters import Filter, evaluate, parse_query, query_terms
 from miru_ray.functions.hashing import part_for
 from miru_ray.functions.tokenize import tokenize
@@ -38,7 +38,7 @@ class OracleIndex:
         if "text" in pages.schema.names and pages["text"].null_count == 0:
             texts = pages["text"].to_pylist()
         else:
-            texts = [extract_text(h) for h in pages["html"].to_pylist()]
+            texts = extract_column(pages["html"]).to_pylist()
         langs = pages["lang"].to_pylist()
         parts = part_for(urls, num_parts)
         self.schema = schema

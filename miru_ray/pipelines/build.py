@@ -260,14 +260,6 @@ class BuildConfig:
                                      # html-mode inputs digest (url, warc_ts)
                                      # only — a content-only change with the
                                      # same url+fetch-ts is NOT detected there.
-    delta_appends: bool = True       # small sips/repairs leave the base
-                                     # segments untouched and write a delta
-                                     # OVERLAY generation (O(changed), not
-                                     # O(index) — the LAB delta-chit model);
-                                     # readers resolve base+overlay through
-                                     # state/segview.py. Falls back to the
-                                     # splice/full merge whenever the
-                                     # overlay preconditions fail.
 
 
 def _merge_one_shard(shard: int, part_files: dict[int, str],
@@ -500,8 +492,7 @@ def build_index(source, index_dir: str, cfg: BuildConfig | None = None) -> dict:
         index_dir, num_parts=cfg.num_parts, num_shards=cfg.num_shards,
         k1=cfg.k1, b=cfg.b, schema=cfg.schema, analyzer=cfg.analyzer,
         skipped=skipped, phase_t=phase_t, group_cpus=group_cpus,
-        bus_gbps=bus_gbps, mode_meta=mode_meta, changed_parts=changed,
-        delta_appends=cfg.delta_appends)
+        bus_gbps=bus_gbps, mode_meta=mode_meta, changed_parts=changed)
 
 
 def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
@@ -509,8 +500,7 @@ def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
                    skipped: list[int], phase_t: dict[str, float],
                    group_cpus: int = 1, bus_gbps: float | None = None,
                    mode_meta: dict | None = None,
-                   changed_parts: set[int] | None = None,
-                   delta_appends: bool = True) -> dict:
+                   changed_parts: set[int] | None = None) -> dict:
     """Global docID bases (prefix sum over completed partitions) → per-shard
     segment merge → meta.json. The commit tail of ``build_index``, shared
     with the repair path (pipelines/repair.py) which rewrites partitions
@@ -545,9 +535,13 @@ def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
     part_files = {p: os.path.join(part_dir(index_dir, p), "postings.parquet")
                   for p in parts_sorted}
     seg_tmp = segments_dir(index_dir) + ".tmp"
+    seg_trash = segments_dir(index_dir) + ".old"
     import shutil as _shutil0
-    _shutil0.rmtree(seg_tmp, ignore_errors=True)   # a crashed run's leftovers
-    # (possibly under a different num_shards) must never ride into the swap
+    # a crashed run's leftovers (possibly under a different num_shards) must
+    # never ride into the swap, and a crashed swap's trash must not outlive
+    # a commit that takes the overlay path
+    _shutil0.rmtree(seg_tmp, ignore_errors=True)
+    _shutil0.rmtree(seg_trash, ignore_errors=True)
     t_merge = time.perf_counter()
     old_meta = layout.read_json(meta_path(index_dir))
     merge_mode = "full"
@@ -614,9 +608,8 @@ def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
             kept = [p for p in parts_sorted if p not in stale]
             replaced = sorted(stale | dropped)
             bases_stable = all(bases[p] == base_bases.get(p) for p in kept)
-            if (delta_appends and bases_stable
-                    and len(replaced) * 4 <= max(num_parts, len(parts_sorted),
-                                                 len(base_bases))):
+            if bases_stable and len(replaced) * 4 <= max(
+                    num_parts, len(parts_sorted), len(base_bases)):
                 # overlay append: leave the base files untouched, write ONE
                 # small generation covering every stale partition (a prior
                 # generation is fully superseded, then dropped)
@@ -667,7 +660,6 @@ def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
         futs = [merge_task.remote(s_, part_files, bases, seg_tmp)
                 for s_ in range(num_shards)]
         seg_stats = _ray.get(futs)
-    seg_trash = None
     if merge_mode != "delta":
         # swap via two atomic renames (live → trash, tmp → live) instead of
         # rmtree-then-rename: the no-segments window shrinks from an
@@ -675,10 +667,7 @@ def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
         # reading the old inodes. Trash + any overlay the OLD meta still
         # references are deleted only AFTER the new meta commits below, so
         # every crash point leaves a meta whose referenced files exist.
-        import shutil as _shutil
         seg_live = segments_dir(index_dir)
-        seg_trash = seg_live + ".old"
-        _shutil.rmtree(seg_trash, ignore_errors=True)   # stale from a crash
         if os.path.isdir(seg_live):
             os.rename(seg_live, seg_trash)
         os.replace(seg_tmp, seg_live)
@@ -720,8 +709,6 @@ def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
     if merge_mode == "delta":
         layout.prune_delta_gens(index_dir, int(delta_out["gen"]))
     else:
-        import shutil as _shutil
-        if seg_trash is not None:
-            _shutil.rmtree(seg_trash, ignore_errors=True)
+        _shutil0.rmtree(seg_trash, ignore_errors=True)
         layout.clear_deltas(index_dir)   # the new meta carries no overlay
     return meta

@@ -14,7 +14,6 @@ the many query entries share one build per scale factor.
 from __future__ import annotations
 
 import os
-import re
 
 import numpy as np
 import pyarrow as pa
@@ -60,34 +59,26 @@ def documents_index(sf_dir: str, analyzer: str = "simple") -> str:
     ``analyzer="per_lang"`` builds the language-analyzed variant (its own
     cache dir — the two indexes have different postings AND doclens).
     """
-    from miru_ray.state.layout import source_cache_dir
-    src = os.path.join(sf_dir, "documents.parquet")
-    idx, tag = source_cache_dir(
-        sf_dir, "documents.parquet",
-        "" if analyzer == "simple" else analyzer,
-        _CACHE_ROOT, 9, analyzer=analyzer)
-    tag_path = os.path.join(idx, "source_tag.json")
-    if read_json(tag_path) == tag and read_json(os.path.join(idx, "meta.json")):
-        return idx
-    import shutil
     from miru_ray.sources.tables import doc_ts_bounds
+    from miru_ray.state.layout import cached_source_index
     from miru_ray.state.schema import FieldDef, IndexSchema
-    shutil.rmtree(idx, ignore_errors=True)
-    # ts bounds from doc_id row-group statistics (warc_ts = base + id s):
-    # saves _ts_bounds' extra pass over the adapter Dataset
-    bounds = doc_ts_bounds(sf_dir)
-    build_index(documents_as_pages(sf_dir), idx,
-                BuildConfig(num_parts=4, num_shards=2, store_text=True,
-                            partition_mode="time_range", time_bounds=bounds,
-                            analyzer=analyzer,
-                            schema=IndexSchema((
-                                FieldDef("source", "keyword", stored=True),
-                                FieldDef("n_chars", "numeric"),
-                                FieldDef("src_lang", "composite",
-                                         source=("source", "lang"))))))
-    from miru_ray.state.layout import write_json_atomic
-    write_json_atomic(tag_path, tag)
-    return idx
+
+    def build(idx: str) -> None:
+        # ts bounds from doc_id row-group statistics (warc_ts = base + id s):
+        # saves _ts_bounds' extra pass over the adapter Dataset
+        bounds = doc_ts_bounds(sf_dir)
+        build_index(documents_as_pages(sf_dir), idx,
+                    BuildConfig(num_parts=4, num_shards=2, store_text=True,
+                                partition_mode="time_range", time_bounds=bounds,
+                                analyzer=analyzer,
+                                schema=IndexSchema((
+                                    FieldDef("source", "keyword", stored=True),
+                                    FieldDef("n_chars", "numeric"),
+                                    FieldDef("src_lang", "composite",
+                                             source=("source", "lang"))))))
+
+    return cached_source_index(sf_dir, "" if analyzer == "simple" else analyzer,
+                               9, build, root=_CACHE_ROOT, analyzer=analyzer)
 
 
 def fulltext_topk(sf_dir: str, query: str = "sort merge", k: int = 20) -> pa.Table:
@@ -116,25 +107,16 @@ def term_stats_prefix(sf_dir: str, prefix: str = "s") -> pa.Table:
     global-cardinality surface (MiruFieldIndex.getGlobalCardinality:41)
     exposed as a scan."""
     import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-    import glob
-    from miru_ray.state.layout import meta_path, read_json
+    from miru_ray.state.layout import meta_path
+    from miru_ray.state.segview import SegView
     idx = documents_index(sf_dir)
     hi = prefix + "￿"
     flt = (pads.field("term") >= prefix) & (pads.field("term") < hi)
-    meta = read_json(meta_path(idx)) or {}
-    if meta.get("delta"):
-        # a live overlay (possible after a sip/repair on this cache):
-        # resolve per shard through SegView — raw base rows would carry
-        # superseded df/cf and miss overlay-only terms
-        from miru_ray.state.segview import SegView
-        view = SegView.primary(idx, meta)
-        parts = [view.stats(s, flt) for s in view.shards()]
-        t = pa.concat_tables(parts)
-    else:
-        files = sorted(glob.glob(os.path.join(idx, "segments", "*.parquet")))
-        t = pq.read_table(files, columns=["term", "df", "cf"], filters=flt)
-    return t.sort_by("term")
+    # through SegView: a live overlay (possible after a sip/repair on this
+    # cache) supersedes base df/cf and may hold overlay-only terms
+    view = SegView.primary(idx, read_json(meta_path(idx)) or {})
+    return pa.concat_tables([view.stats(s, flt) for s in view.shards()]) \
+        .sort_by("term")
 
 
 def distinct_terms(sf_dir: str, prefix: str = "b", limit: int = 100) -> pa.Table:
@@ -326,20 +308,11 @@ def fulltext_scattered(sf_dir: str, query: str = "sort merge", k: int = 20) -> p
     the single-partition index; internal docIDs are partition-major, so
     the final presentation re-ranks by (score desc, driver doc_id desc)
     over an over-fetched pool to keep the SQL total order exact."""
-    src = os.path.join(sf_dir, "documents.parquet")
-    st = os.stat(src)
-    tag = {"src": os.path.abspath(src), "size": st.st_size,
-           "mtime_ns": st.st_mtime_ns, "layout": 2, "parts": 4}
-    slug = re.sub(r"[^A-Za-z0-9_.-]", "_", os.path.abspath(sf_dir)).strip("_")
-    idx = os.path.join(_CACHE_ROOT, slug + "_p4")
-    tag_path = os.path.join(idx, "source_tag.json")
-    if not (read_json(tag_path) == tag and read_json(os.path.join(idx, "meta.json"))):
-        import shutil
-        shutil.rmtree(idx, ignore_errors=True)
-        build_index(documents_as_pages(sf_dir), idx,
-                    BuildConfig(num_parts=4, num_shards=2))
-        from miru_ray.state.layout import write_json_atomic
-        write_json_atomic(tag_path, tag)
+    from miru_ray.state.layout import cached_source_index
+    idx = cached_source_index(
+        sf_dir, "p4", 2, lambda d: build_index(
+            documents_as_pages(sf_dir), d, BuildConfig(num_parts=4, num_shards=2)),
+        root=_CACHE_ROOT, parts=4)
     from miru_ray.pipelines.search import search_scattered
     # Adaptive over-fetch: internal rank ties break by partition-major
     # docID, the oracle's by original doc_id — so the pool must cover the

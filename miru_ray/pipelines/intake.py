@@ -419,39 +419,32 @@ def stumptown_index(sf_dir: str) -> str:
 
     from miru_ray.pipelines.build import BuildConfig, build_index
     from miru_ray.sources.tables import DOC_TS_BASE_US, read_table as _rt
-    from miru_ray.state.layout import (read_json, source_cache_dir,
-                                       write_json_atomic)
+    from miru_ray.state.layout import cached_source_index
     from miru_ray.state.schema import FieldDef, IndexSchema
 
-    src = os.path.join(sf_dir, "events.parquet")
-    idx, tag = source_cache_dir(sf_dir, "events.parquet", "stumptown",
-                                "/tmp/miru_ray_idx", 1)
-    tag_path = os.path.join(idx, "source_tag.json")
-    if read_json(tag_path) == tag and read_json(os.path.join(idx, "meta.json")):
-        return idx
-    import shutil
-    shutil.rmtree(idx, ignore_errors=True)
-    meta_pq = pq.ParquetFile(src).metadata
-    ci = meta_pq.schema.to_arrow_schema().get_field_index("event_id")
-    lo = hi = None
-    for rg in range(meta_pq.num_row_groups):
-        s = meta_pq.row_group(rg).column(ci).statistics
-        if s is not None and s.has_min_max:
-            lo = int(s.min) if lo is None else min(lo, int(s.min))
-            hi = int(s.max) if hi is None else max(hi, int(s.max))
-    bounds = (DOC_TS_BASE_US + lo * 1_000_000,
-              DOC_TS_BASE_US + hi * 1_000_000) if lo is not None else None
-    pages = _rt(sf_dir, "events",
-                columns=["event_id", "event_type", "props"]) \
-        .map_batches(_log_pages, batch_format="pyarrow")
-    build_index(pages, idx,
-                BuildConfig(num_parts=4, num_shards=2,
-                            partition_mode="time_range", time_bounds=bounds,
-                            schema=IndexSchema((
-                                FieldDef("level", "keyword"),
-                                FieldDef("service", "keyword")))))
-    write_json_atomic(tag_path, tag)
-    return idx
+    def build(idx: str) -> None:
+        meta_pq = pq.ParquetFile(os.path.join(sf_dir, "events.parquet")).metadata
+        ci = meta_pq.schema.to_arrow_schema().get_field_index("event_id")
+        lo = hi = None
+        for rg in range(meta_pq.num_row_groups):
+            s = meta_pq.row_group(rg).column(ci).statistics
+            if s is not None and s.has_min_max:
+                lo = int(s.min) if lo is None else min(lo, int(s.min))
+                hi = int(s.max) if hi is None else max(hi, int(s.max))
+        bounds = (DOC_TS_BASE_US + lo * 1_000_000,
+                  DOC_TS_BASE_US + hi * 1_000_000) if lo is not None else None
+        pages = _rt(sf_dir, "events",
+                    columns=["event_id", "event_type", "props"]) \
+            .map_batches(_log_pages, batch_format="pyarrow")
+        build_index(pages, idx,
+                    BuildConfig(num_parts=4, num_shards=2,
+                                partition_mode="time_range", time_bounds=bounds,
+                                schema=IndexSchema((
+                                    FieldDef("level", "keyword"),
+                                    FieldDef("service", "keyword")))))
+
+    return cached_source_index(sf_dir, "stumptown", 1, build,
+                               source_name="events.parquet")
 
 
 def stumptown_search(sf_dir: str, query: str = "purchase k level:info",

@@ -143,8 +143,7 @@ def _repair_one_partition(part: int, index_dir: str, repair_df: pd.DataFrame,
     return int(out["n_docs"].iloc[0])
 
 
-def repair_index(index_dir: str, feed: pa.Table,
-                 delta_appends: bool = True) -> dict:
+def repair_index(index_dir: str, feed: pa.Table) -> dict:
     """Apply a REPAIR/REMOVE feed to a built index (see module docstring).
 
     ``feed`` columns: op ('repair' | 'remove'), url (string), warc_ts
@@ -152,11 +151,9 @@ def repair_index(index_dir: str, feed: pa.Table,
     removes). Returns the refreshed meta.json dict.
 
     A repair that keeps every partition's doc count (pure value repairs)
-    takes the DELTA OVERLAY merge by default — O(changed) writes, base
+    takes the DELTA OVERLAY merge — O(changed) writes, base
     segment files byte-untouched; removes (or count-shifting repairs)
-    shift docID bases and fold via the splice. Pass
-    ``delta_appends=False`` to force the splice/full merge (base files
-    then digest-equal a clean rebuild over the corrected corpus)."""
+    shift docID bases and fold via the splice."""
     import ray as _ray
     from miru_ray.pipelines.build import finalize_index
     from miru_ray.state import layout
@@ -261,8 +258,7 @@ def repair_index(index_dir: str, feed: pa.Table,
         num_shards=int(meta["num_shards"]), k1=meta.get("k1", 1.2),
         b=meta.get("b", 0.75), schema=schema,
         analyzer=meta.get("analyzer", "simple"), skipped=[],
-        phase_t=phase_t, mode_meta=mode_meta, changed_parts=set(affected),
-        delta_appends=delta_appends)
+        phase_t=phase_t, mode_meta=mode_meta, changed_parts=set(affected))
 
 
 # --------------------------------------------------------------- entry

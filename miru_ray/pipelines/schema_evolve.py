@@ -41,11 +41,9 @@ import pyarrow as pa
 
 import ray.data as rd
 
-__all__ = ["add_field", "field_segments_dir"]
+from miru_ray.state.layout import field_segments_dir
 
-
-def field_segments_dir(index_dir: str, name: str) -> str:
-    return os.path.join(index_dir, f"segments_field_{name}")
+__all__ = ["add_field"]
 
 
 def _align_and_write(group: pd.DataFrame, *, index_dir: str, fdef,

@@ -1,12 +1,13 @@
-"""HTML→text extraction stage — stateful actor pool.
+"""HTML→text extraction stage [A] (SURVEY.md §7.1).
 
-North-rule stage [A] (SURVEY.md §7.1): ``pages.map_batches(HtmlExtractor,
-concurrency=N, batch_size=B, batch_format="pyarrow")``. The class shape
-follows the reference's load-once-score-many pattern
+``extract_batch`` is the ``map_batches`` body: it runs the column kernel
+``functions.extract.extract_column`` over one Arrow batch and drops the
+heavy ``html`` column straight after (SURVEY.md §7.5 "Wide docs").
+``HtmlExtractor`` wraps it in the actor-pool shape the north rule names,
+``pages.map_batches(HtmlExtractor, concurrency=N, ...)``, after the
+reference's load-once-score-many pattern
 (miru-stream-plugins/.../strut/StrutModelScorer.java — model in ctor, work
-per call): parser machinery is constructed once per actor in ``__init__``,
-each ``__call__`` handles one Arrow batch and drops the heavy ``html``
-column immediately after extraction (SURVEY.md §7.5 "Wide docs").
+per call).
 
 Batches stay small (html can be MBs/row); output schema is the pages
 schema minus ``html``.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from miru_ray.functions.extract import extract_text
+from miru_ray.functions.extract import extract_column, extract_text
 
 __all__ = ["HtmlExtractor", "EXTRACT_BATCH_SIZE"]
 
@@ -24,43 +25,9 @@ __all__ = ["HtmlExtractor", "EXTRACT_BATCH_SIZE"]
 EXTRACT_BATCH_SIZE = 256
 
 
-_SKIP_TAGS = ("script", "style", "nav", "header", "footer", "noscript", "template")
-_BLOCK_PAT = (r"</?(?:p|div|title|h[1-6]|li|br|tr|td|th|table|ul|ol|article|"
-              r"section|body|blockquote|pre)\b[^>]*/?>")
-
-
-def _extract_column(html: pa.Array) -> pa.Array:
-    """Vectorized extraction via Arrow/RE2 kernels, byte-identical to
-    ``extract_text`` for entity-free documents; rows containing '&'
-    (entity candidates) fall back to the scalar path (content-determined,
-    so results never depend on batching)."""
-    import pyarrow.compute as pc
-    s = pc.cast(html, pa.string())
-    for tag in _SKIP_TAGS:   # RE2 has no backrefs — one pass per skip tag
-        s = pc.replace_substring_regex(s, f"(?is)<{tag}\\b[^>]*>.*?</{tag}\\s*>", "")
-    s = pc.replace_substring_regex(s, f"(?i){_BLOCK_PAT}", "\n")
-    s = pc.replace_substring_regex(s, "<[^>]+>", " ")
-    s = pc.replace_substring_regex(s, "[ \\t\\r\\f\\v]+", " ")   # collapse inline ws
-    s = pc.replace_substring_regex(s, " ?\\n ?", "\n")           # trim around breaks
-    s = pc.replace_substring_regex(s, "\\n+", "\n")              # drop empty blocks
-    s = pc.replace_substring_regex(s, "^[\\n ]+|[\\n ]+$", "")   # strip ends
-    # entity rows → scalar fallback (deterministic: depends on content only)
-    has_amp = pc.match_substring(pc.cast(html, pa.string()), "&")
-    if pc.any(has_amp).as_py():
-        vals = s.to_pylist()
-        raw = html.to_pylist()
-        flags = has_amp.to_pylist()
-        vals = [extract_text(r) if f else v
-                for v, r, f in zip(vals, raw, flags)]
-        return pa.array(vals, pa.string())
-    return s if isinstance(s, pa.Array) else s.combine_chunks()
-
-
 def extract_batch(batch: pa.Table) -> pa.Table:
     """Stateless batch body: html:binary → text:string, html dropped."""
-    texts = _extract_column(batch["html"].combine_chunks()
-                            if isinstance(batch["html"], pa.ChunkedArray)
-                            else batch["html"])
+    texts = extract_column(batch["html"])
     names = [n for n in batch.schema.names if n != "html"]
     cols = [batch[n] for n in names]
     if "text" in names:

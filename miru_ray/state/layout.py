@@ -31,8 +31,8 @@ from typing import Any
 __all__ = [
     "part_dir", "manifest_path", "read_manifest", "write_manifest",
     "completed_parts", "write_json_atomic", "read_json", "meta_path",
-    "segments_dir", "partitions_root", "delta_root", "delta_gen_dir",
-    "clear_deltas", "prune_delta_gens",
+    "segments_dir", "field_segments_dir", "partitions_root", "delta_root",
+    "delta_gen_dir", "clear_deltas", "prune_delta_gens",
     "source_cache_dir", "stat_validated_memo",
 ]
 
@@ -62,6 +62,11 @@ def meta_path(index_dir: str) -> str:
 
 def segments_dir(index_dir: str) -> str:
     return os.path.join(index_dir, "segments")
+
+
+def field_segments_dir(index_dir: str, name: str) -> str:
+    """Segment family of an additively-added field (schema_evolve)."""
+    return os.path.join(index_dir, f"segments_field_{name}")
 
 
 def delta_root(index_dir: str) -> str:

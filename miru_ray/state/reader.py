@@ -33,7 +33,8 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from miru_ray.functions.hashing import shard_for
-from miru_ray.state.layout import meta_path, part_dir, read_json, segments_dir
+from miru_ray.state.layout import (field_segments_dir, meta_path, part_dir,
+                                   read_json)
 
 __all__ = ["IndexReader"]
 
@@ -83,8 +84,7 @@ class IndexReader:
         self._views: dict[str | None, SegView] = {
             None: SegView.primary(index_dir, meta)}
         for name in self.extra_fields:
-            self._views[name] = SegView(
-                os.path.join(index_dir, f"segments_field_{name}"))
+            self._views[name] = SegView(field_segments_dir(index_dir, name))
         self._postings_cache: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
         self._bmax_cache: dict[str, np.ndarray] = {}
         self._doclen_parts: dict[int, np.ndarray] = {}

@@ -13,8 +13,9 @@ from __future__ import annotations
 import os
 import shutil
 
-from miru_ray.state.layout import (completed_parts, meta_path, part_dir,
-                                   read_json, segments_dir, write_json_atomic)
+from miru_ray.state.layout import (completed_parts, field_segments_dir,
+                                   meta_path, part_dir, read_json,
+                                   segments_dir, write_json_atomic)
 
 __all__ = ["sync_index"]
 
@@ -23,6 +24,19 @@ def _copy_atomic(src: str, dst: str) -> None:
     os.makedirs(os.path.dirname(dst), exist_ok=True)
     shutil.copyfile(src, dst + ".tmp")
     os.replace(dst + ".tmp", dst)
+
+
+def _mirror_dir(src: str, dst: str) -> None:
+    """Copy every file of ``src`` into ``dst``, then drop the ``dst`` files
+    ``src`` no longer has (e.g. num_shards shrank): SegView globs the
+    directory, so stale extras would pollute reads."""
+    names = sorted(os.listdir(src))
+    os.makedirs(dst, exist_ok=True)
+    for name in names:
+        _copy_atomic(os.path.join(src, name), os.path.join(dst, name))
+    for name in set(os.listdir(dst)) - set(names):
+        if not name.endswith(".tmp"):
+            os.remove(os.path.join(dst, name))
 
 
 def sync_index(src_dir: str, dst_dir: str) -> dict:
@@ -74,21 +88,23 @@ def sync_index(src_dir: str, dst_dir: str) -> dict:
         and os.path.isdir(sseg)
         and all(os.path.exists(os.path.join(segments_dir(dst_dir), n))
                 for n in os.listdir(sseg)))
-    if os.path.isdir(sseg) and not base_skipped:
-        src_names = sorted(os.listdir(sseg))
-        dseg = segments_dir(dst_dir)
-        os.makedirs(dseg, exist_ok=True)
+    # additive field families are rewritten whole by add_field, so they
+    # travel with the base, or alone when the destination lacks one. Only
+    # segments_field_<name>/ is read; the partition sidecars
+    # postings_field_<name>.parquet feed add_field's own merge at the source
+    fields = [f["name"] for f in (src_meta or {}).get("extra_fields", [])]
+    copies = [(sseg, segments_dir(dst_dir))] \
+        if os.path.isdir(sseg) and not base_skipped else []
+    for name in fields:
+        sfam = field_segments_dir(src_dir, name)
+        dfam = field_segments_dir(dst_dir, name)
+        if os.path.isdir(sfam) and not (base_skipped and os.path.isdir(dfam)):
+            copies.append((sfam, dfam))
+    if copies:
         with open(dirty_marker, "w"):
             pass
-        for name in src_names:
-            _copy_atomic(os.path.join(sseg, name),
-                         os.path.join(dseg, name))
-        # drop dst shard files src no longer has (e.g. num_shards shrank):
-        # SegView globs the directory, so stale extras would pollute reads
-        keep_names = set(src_names)
-        for name in os.listdir(dseg):
-            if name not in keep_names and not name.endswith(".tmp"):
-                os.remove(os.path.join(dseg, name))
+    for sdir, ddir in copies:
+        _mirror_dir(sdir, ddir)
     # a live delta overlay travels with the base it annotates. Crash
     # contract (same as the build's finalize): the destination's OLD
     # meta + its generation stay readable until the new meta commits, so

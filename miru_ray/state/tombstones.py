@@ -7,18 +7,19 @@ miru-service/.../stream/MiruIndexer.java:125-173), and every query ANDs
 applied e.g. miru-analytics-plugins/.../Analytics.java:127-130).
 
 Here: a ``tombstones.json`` sidecar per index holds removed urls; the
-reader resolves them to docIDs once (url → partition via the same
-hash(url) % P, then binary search in the partition's docs table) and every
-search subtracts the set. Removal never rewrites segments — exactly the
-reference's delete model (tombstone now, compaction later)."""
+reader resolves them to docIDs once (a scan of every partition's url
+column) and every search subtracts the set. Removal never rewrites
+segments — exactly the reference's delete model (tombstone now,
+compaction later)."""
 
 from __future__ import annotations
 
 import os
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
-from miru_ray.functions.hashing import part_for
 from miru_ray.state.layout import read_json, write_json_atomic
 
 __all__ = ["add_tombstones", "load_tombstones", "resolve_tombstones"]
@@ -43,23 +44,17 @@ def load_tombstones(index_dir: str) -> list[str]:
 
 
 def resolve_tombstones(reader) -> np.ndarray:
-    """urls → sorted global docID array (absent urls ignored)."""
+    """urls → sorted global docID array (absent urls ignored). Every
+    partition's url column is checked: under time_range a url re-fetched
+    in several time buckets has a doc in each."""
     urls = load_tombstones(reader.index_dir)
     if not urls:
         return np.empty(0, dtype=np.uint64)
-    num_parts = reader.meta["num_parts"]
-    parts = part_for(urls, num_parts)
+    wanted = pa.array(urls)
     out = []
-    part_index = {p: i for i, p in enumerate(reader.parts)}
-    for url, p in zip(urls, parts):
-        pi = part_index.get(int(p))
-        if pi is None:
-            continue
-        col = reader.doc_column(reader.parts[pi], "url").to_pylist()
+    for p, base in zip(reader.parts, reader.bases):
         # column-pruned per-partition scan, cached per (part, col)
-        try:
-            local = col.index(url)
-        except ValueError:
-            continue
-        out.append(reader.bases[pi] + local)
-    return np.array(sorted(out), dtype=np.uint64)
+        hit = pc.indices_nonzero(pc.is_in(reader.doc_column(p, "url"),
+                                          value_set=wanted))
+        out.append(hit.to_numpy().astype(np.uint64) + np.uint64(base))
+    return np.sort(np.concatenate(out)) if out else np.empty(0, dtype=np.uint64)

@@ -76,19 +76,23 @@ def test_sip_detects_content_only_change_text_mode(tmp_path, ray_session):
     idx = str(tmp_path / "idx")
     build_index(str(src), idx, cfg)
 
-    # mutate ONE row's text, keep url+warc_ts
+    # mutate two rows' text in different partitions, keep url+warc_ts. Two
+    # of four partitions is too wide for the overlay, so the splice rewrites
+    # the base files this test pins; the overlay form of a sip is covered
+    # by tests/test_delta_overlay.py
+    from miru_ray.functions.hashing import part_for
+    parts = part_for(pages["url"].to_pylist(), 4)
+    other = next(i for i, p in enumerate(parts) if p != parts[17])
     texts = pages["text"].to_pylist()
-    texts[17] = texts[17] + " sipneedle"
+    for i in (17, other):
+        texts[i] += " sipneedle"
     mutated = pages.set_column(pages.schema.get_field_index("text"), "text",
                                pa.array(texts, pa.string()))
     pq.write_table(mutated, str(src / "a.parquet"))
-    # delta_appends=False: this test pins the DIGEST DETECTION + base-file
-    # identity; the overlay form of the same sip is covered by
-    # tests/test_delta_overlay.py
     meta = build_index(str(src), idx, BuildConfig(num_parts=4, num_shards=2,
-                                                  verify_inputs=True,
-                                                  delta_appends=False))
-    assert len(meta["skipped_parts"]) == 3   # only row 17's partition rebuilt
+                                                  verify_inputs=True))
+    assert meta["phase_sec"]["merge_mode"] == "splice"
+    assert len(meta["skipped_parts"]) == 2   # only the two rows' partitions rebuilt
 
     clean = str(tmp_path / "clean")
     build_index(str(src), clean, cfg)

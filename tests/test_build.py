@@ -164,8 +164,9 @@ def test_segment_swap_crash_leftovers_never_pollute(tmp_path, ray_session, pages
     """The merge-commit tail swaps segments via rename(live → .old) +
     rename(.tmp → live) and deletes .old only after the meta commits. A
     crashed run's leftovers — a stale segments.old AND a segments.tmp
-    written under a DIFFERENT num_shards — must vanish on the next build:
-    exactly num_shards live shard files, no trash, answers intact."""
+    written under a DIFFERENT num_shards — must vanish on the next commit,
+    whether it writes an overlay or swaps in spliced segments: exactly
+    num_shards live shard files, no trash, answers intact."""
     import glob
     import shutil
     from miru_ray.pipelines.build import BuildConfig, build_index
@@ -174,21 +175,22 @@ def test_segment_swap_crash_leftovers_never_pollute(tmp_path, ray_session, pages
     idx = str(tmp_path / "idx")
     build_index(pages, idx, BuildConfig(num_parts=4, num_shards=2))
     seg = os.path.join(idx, "segments")
-    # simulate the crash debris
-    shutil.copytree(seg, seg + ".old")
-    os.makedirs(seg + ".tmp", exist_ok=True)
-    for n in ("shard=00007.parquet", "shard=00009.parquet"):
-        shutil.copyfile(os.path.join(seg, "shard=00000.parquet"),
-                        os.path.join(seg + ".tmp", n))
-    # force a fresh full merge (drop one manifest → that partition rebuilds)
-    os.remove(os.path.join(idx, "partitions", "part=00002", "manifest.json"))
-    meta = build_index(pages, idx, BuildConfig(num_parts=4, num_shards=2,
-                                               delta_appends=False))
-    assert meta["phase_sec"]["merge_mode"] in ("full", "splice")
-    names = sorted(os.path.basename(f)
-                   for f in glob.glob(os.path.join(seg, "*.parquet")))
-    assert names == ["shard=00000.parquet", "shard=00001.parquet"]
-    assert not os.path.exists(seg + ".old")
-    assert not os.path.exists(seg + ".tmp")
-    hits = search(IndexReader(idx), "needle7", k=20)
-    assert hits.num_rows == 7
+    # one rebuilt partition of 4 takes the overlay; two take the splice
+    for rebuilt, mode in (((2,), "delta"), ((1, 2), "splice")):
+        # simulate the crash debris
+        shutil.copytree(seg, seg + ".old")
+        os.makedirs(seg + ".tmp", exist_ok=True)
+        for n in ("shard=00007.parquet", "shard=00009.parquet"):
+            shutil.copyfile(os.path.join(seg, "shard=00000.parquet"),
+                            os.path.join(seg + ".tmp", n))
+        for p in rebuilt:   # drop manifests → those partitions rebuild
+            os.remove(os.path.join(idx, "partitions", f"part={p:05d}",
+                                   "manifest.json"))
+        meta = build_index(pages, idx, BuildConfig(num_parts=4, num_shards=2))
+        assert meta["phase_sec"]["merge_mode"] == mode
+        names = sorted(os.path.basename(f)
+                       for f in glob.glob(os.path.join(seg, "*.parquet")))
+        assert names == ["shard=00000.parquet", "shard=00001.parquet"]
+        assert not os.path.exists(seg + ".old")
+        assert not os.path.exists(seg + ".tmp")
+        assert search(IndexReader(idx), "needle7", k=20).num_rows == 7

@@ -147,14 +147,19 @@ def test_big_append_folds_overlay_via_splice(tmp_path, ray_session):
     _assert_reader_equiv(idx, clean)
 
 
-def test_delta_disabled_takes_splice(tmp_path, ray_session, corpus):
+def test_base_shift_takes_splice(tmp_path, ray_session, corpus):
+    """A sip that changes an early partition's doc count shifts every later
+    base, so the overlay cannot apply: the splice runs and its segment
+    files equal a clean build's."""
     src, full, cfg = corpus
     idx = str(tmp_path / "idx")
     build_index(str(src), idx, cfg(False))
-    pq.write_table(full.slice(720, 80), str(src / "b.parquet"))
-    c = cfg(True)
-    c.delta_appends = False
-    meta = build_index(str(src), idx, c)
+    # ten new urls fetched inside the third time bucket
+    early = full.slice(250, 10)
+    early = early.set_column(0, "url", pa.array(
+        [u + "?refetch" for u in early["url"].to_pylist()], pa.string()))
+    pq.write_table(early, str(src / "b.parquet"))
+    meta = build_index(str(src), idx, cfg(True))
     assert meta["phase_sec"]["merge_mode"] == "splice"
     clean = str(tmp_path / "clean")
     build_index(str(src), clean, cfg(False))
@@ -339,8 +344,7 @@ def test_many_sips_auto_fold_lifecycle(tmp_path, ray_session):
 def test_stable_count_repair_takes_overlay(tmp_path, ray_session):
     """A pure value repair (same url+version count per partition) merges
     via the overlay — base files byte-untouched — and queries equal a
-    clean build over the corrected corpus; delta_appends=False forces the
-    digest-identical splice path."""
+    clean build over the corrected corpus."""
     from miru_ray.pipelines.repair import repair_index
     from miru_ray.sources.fixtures import write_pages_parquet
     src = str(tmp_path / "src")
@@ -367,14 +371,17 @@ def test_stable_count_repair_takes_overlay(tmp_path, ray_session):
     r = IndexReader(idx)
     hits = search(r, "replacement", k=5)
     assert hits.num_rows == 1
-    # forcing the splice folds the overlay and digests match a rebuild
-    idx2 = str(tmp_path / "idx2")
-    build_index(src, idx2, cfg)
-    repair_index(idx2, feed, delta_appends=False)
-    r2 = IndexReader(idx2)
-    for q in ("replacement", "needle7"):
-        assert (search(r, q, k=20)["doc_id"].to_pylist()
-                == search(r2, q, k=20)["doc_id"].to_pylist()), q
+    # the overlay view equals a clean build that fetched the repair
+    clean_src = str(tmp_path / "clean_src")
+    write_pages_parquet(clean_src, 1500, rows_per_file=500)
+    pq.write_table(pa.table({
+        "url": pages["url"], "warc_ts": newer,
+        "html": pa.array([b"<p>replacement text needle7 needle7</p>"]),
+        "text": feed["text"], "lang": pages["lang"]}, schema=pages.schema),
+        os.path.join(clean_src, "repair.parquet"))
+    clean = str(tmp_path / "clean")
+    build_index(clean_src, clean, cfg)
+    _assert_reader_equiv(idx, clean)
 
 
 def test_resync_after_sip_skips_base_copy(tmp_path, ray_session, corpus):

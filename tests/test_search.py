@@ -106,6 +106,35 @@ def test_tombstone_removal_mask(pages, tmp_path, oracle):
     assert after["url"].to_pylist() == surviving
 
 
+@pytest.mark.parametrize("mode", ["hash", "time_range"])
+def test_tombstones_remove_docs_in_both_partition_modes(tmp_path, ray_session, mode):
+    """Tombstones resolve by the index's own partitioning: under time_range
+    a url is not routed by hash, and a url re-fetched in two time buckets
+    has two docs, both of which must go."""
+    import pyarrow as pa
+    from miru_ray.pipelines.build import BuildConfig, build_index
+    from miru_ray.sources.fixtures import pages_table
+    from miru_ray.state.reader import IndexReader
+    from miru_ray.state.tombstones import add_tombstones
+    pages = pages_table(400)
+    # page 0 fetched again after the last page: the last time bucket
+    refetch = pages.slice(0, 1).set_column(
+        1, "warc_ts", pa.array([pages["warc_ts"][-1].as_py()], pa.timestamp("us")))
+    pages = pa.concat_tables([pages, refetch])
+    d = str(tmp_path / "idx")
+    build_index(pages, d, BuildConfig(num_parts=4, num_shards=2, partition_mode=mode))
+    reader = IndexReader(d)
+    top = search(reader, "w00001", k=1)["url"][0].as_py()
+    twice = refetch["url"][0].as_py()
+    assert search(reader, "t00000000", k=10).num_rows == (2 if mode == "time_range" else 1)
+    add_tombstones(d, [top, twice])
+    reader.refresh_tombstones()
+    urls = [u for p in reader.parts for u in reader.doc_column(p, "url").to_pylist()]
+    assert len(reader.removed_ids()) == sum(u in (top, twice) for u in urls)
+    assert top not in search(reader, "w00001", k=1000)["url"].to_pylist()
+    assert search(reader, "t00000000", k=10).num_rows == 0
+
+
 def test_highlight_snippets(index_dir):
     """Stored-field gather + highlighter: snippet contains the marked
     query term (needs store_text; build one small index with it)."""

@@ -51,3 +51,31 @@ def test_sync_index_replicates_and_resumes(index_dir, tmp_path, reader):
     p2 = sync_index(index_dir, dst)
     assert not p2["synced"]
     assert p2["skipped"] == p1["synced"]
+
+
+def test_sync_index_carries_added_field(tmp_path, ray_session):
+    """An additively-added field's segments travel with the meta that lists
+    it: to a fresh replica, and to one synced before the field existed."""
+    import pyarrow as pa
+    from miru_ray.pipelines.build import BuildConfig, build_index
+    from miru_ray.pipelines.schema_evolve import add_field
+    from miru_ray.sources.fixtures import pages_table
+    from miru_ray.state.schema import FieldDef
+    from miru_ray.state.sync import sync_index
+    pages = pages_table(200)
+    src = str(tmp_path / "src")
+    fresh, older = str(tmp_path / "fresh"), str(tmp_path / "older")
+    build_index(pages, src, BuildConfig(num_parts=4, num_shards=2))
+    sync_index(src, older)
+    site = pa.array([u.split("/")[2] for u in pages["url"].to_pylist()])
+    add_field(src, pages.select(["url", "warc_ts"]).append_column("site", site),
+              FieldDef("site", "keyword"))
+    query = f"site:{site[0].as_py()}"
+    want = search(IndexReader(src), query, k=20)
+    assert want.num_rows == 2
+    for dst in (fresh, older):
+        for _ in range(2):   # one sync, then a repeated one
+            sync_index(src, dst)
+            got = search(IndexReader(dst), query, k=20)
+            assert got["doc_id"].to_pylist() == want["doc_id"].to_pylist()
+            assert np.array_equal(got["score"].to_numpy(), want["score"].to_numpy())
