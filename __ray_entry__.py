@@ -232,8 +232,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         #     rotated out in r5 to promote dedup_clusters/keep_one and
         #     the incremental/schema-evolve entries into the checked
         #     window (VERDICT r4 #8)
-        #   ngram_jaccard_pairs: r3–r4 hash-exact; shares its oracle
-        #     verbatim with the still-checked ngram_jaccard_prefix
+        #   ngram_jaccard_pairs: r3–r4 hash-exact; the one exact
+        #     n-gram engine (PPJoin prefix filter + exact verify), also
+        #     served under the ngram_jaccard_prefix name below
         #   catwalk_model / strut_scores: r2–r4 hash-exact single-feature
         #     variants of the still-checked catwalk_model_multi
         #   strut_scores_strategy: r2–r4 hash-exact; rotated out in r5
@@ -253,13 +254,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         #     lm_perplexity — it rides the one md5 kernel the
         #     still-checked dedup_exact also exercises
         #   ngram_jaccard_prefix: rotated out in r5 to promote
-        #     perplexity_ntile — the still-checked dedup_keep_one
-        #     derives from the SAME prefix-filtered pair graph, so the
-        #     machinery stays driver-exercised
+        #     perplexity_ntile — the same engine as ngram_jaccard_pairs,
+        #     and the still-checked dedup_keep_one derives from its
+        #     pair graph, so the machinery stays driver-exercised
         #   dedup_clusters: rotated out in r5 to promote
         #     exact_substring_scrub — the still-checked dedup_keep_one
-        #     consumes the cluster labels, so both CC tiers stay
-        #     driver-exercised (and the tiers are pytest-pinned equal)
+        #     consumes the cluster labels; the one CC resolver's two
+        #     tiers are pytest-pinned equal for all three cluster entries
         # version-checked in-place REPAIR/REMOVE of a built index
         # (MiruIndexer.java:125-173): corrupted corpus → repair feed
         # applied partition-scoped → BM25 over the corrected corpus; the
@@ -274,13 +275,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "fulltext_near": fulltext.fulltext_near,
         "doc_fingerprints": textstats.doc_fingerprints,
         # near-dup CLUSTER RESOLUTION: connected components over the
-        # exact prefix-filtered pair graph (local pointer-jumping tier +
+        # exact n-gram pair graph (local pointer-jumping tier +
         # distributed label-propagation tier, pytest-pinned equal);
         # oracle = recursive-CTE transitive closure over the same pairs
         "dedup_clusters": dedup.dedup_clusters,
-        # sub-quadratic EXACT Jaccard tier (PPJoin prefix filtering is
-        # lossless at J >= t; shares ngram_jaccard_pairs' oracle)
-        "ngram_jaccard_prefix": dedup.ngram_jaccard_prefix,
+        # the former name of the prefix-filtered exact tier, kept as an
+        # alias of the one exact n-gram engine
+        "ngram_jaccard_prefix": dedup.ngram_jaccard_pairs,
         "user_sessions": events.user_sessions,
         "pricing_summary": relational.pricing_summary,
         "props_k_stats": lambda sf: __import__(
@@ -434,8 +435,9 @@ ORDER BY raw DESC, doc_id DESC LIMIT {k}
 
 
 def _ngram_jaccard_sql() -> str:
-    """Brute-force exact 3-gram Jaccard in SQL — the shared oracle for
-    BOTH exact engine tiers (inverted-index and prefix-filtered)."""
+    """Brute-force exact 3-gram Jaccard in SQL — the oracle of the exact
+    n-gram engine (``dedup.ngram_jaccard_pairs``) and of the cluster
+    entries built on its pair graph."""
     return f"""
 WITH toks AS (
   SELECT doc_id, regexp_extract_all(lower(text), '{TOKEN_SQL}') AS t
@@ -1424,15 +1426,15 @@ SELECT doc_id::BIGINT AS doc_id,
                                   ELSE 0::HUGEINT END)::UBIGINT), 16, '0')) AS simhash
 FROM bits GROUP BY doc_id ORDER BY doc_id
 """,
-        # exact n-gram Jaccard: candidate generation is an inverted
-        # index (every pair with a shared 3-shingle IS generated), so a
-        # value-exact SQL oracle is sound here — the only divergence
-        # channel is a 64-bit shingle-hash collision (~2^-64/pair).
-        # Shingles are string 3-grams in SQL vs polynomial token-hash
-        # 3-grams in the engine: identical SET cardinalities.
+        # exact n-gram Jaccard: prefix filtering is LOSSLESS at J >= t
+        # (PPJoin theorem — every pair at or above the threshold shares
+        # a prefix shingle and IS generated), so a value-exact all-pairs
+        # SQL oracle is sound here — the only divergence channel is a
+        # 64-bit shingle-hash collision (~2^-64/pair). Shingles are
+        # string 3-grams in SQL vs polynomial token-hash 3-grams in the
+        # engine: identical SET cardinalities. Both names serve the one
+        # engine and share the oracle.
         "ngram_jaccard_pairs": _ngram_jaccard_sql(),
-        # prefix filtering is LOSSLESS at J >= t (PPJoin theorem), so the
-        # prefix-filtered tier shares the identical brute-force oracle
         "ngram_jaccard_prefix": _ngram_jaccard_sql(),
         # cluster resolution: recursive-CTE transitive closure over the
         # SAME exact pair graph; label = component-min doc_id

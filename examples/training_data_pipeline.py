@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Composed training-data curation pipeline over the ``documents`` table:
 
-    read (pruned) → exact-dedup mask → NEAR-DUP keep-one (cluster
+    read (pruned) → exact-dup + NEAR-DUP loser mask (cluster
     resolution over the exact PPJoin pair graph) → repetition filter
     (Gopher duplicate-bigram rule) → quality filter → language filter
     → deterministic hash downsample → per-doc stats → partitioned
@@ -10,13 +10,15 @@
     python examples/training_data_pipeline.py [SF_DIR] [OUT_DIR]
 
 Every stage is a streaming ``map_batches`` over Arrow batches — the
-pipeline never materializes the corpus; the only driver-side objects are
-the (small) exact-dedup winner set and the near-dup LOSER set (O(dup
-docs) at this scale; at a crawl-scale dup rate swap the broadcast for
-the bucketed anti-join ``dedup.dedup_keep_one_ds`` — same labels,
-one keyed exchange instead of a driver set). Output is one parquet
-directory partitioned by Ray block — a failed run reruns cheaply
-because every upstream stage is deterministic.
+pipeline never materializes the corpus; the only driver-side object is
+the LOSER set: every exact duplicate but the minimum doc_id of its
+fingerprint (found by a bucketed distributed groupby) plus every
+near-dup cluster member but the canonical one. It is O(dup docs), not
+O(corpus); at a crawl-scale dup rate swap the broadcast for the
+bucketed anti-join ``dedup.dedup_keep_one_ds`` — same labels, one keyed
+exchange instead of a driver set. Output is one parquet directory
+partitioned by Ray block — a failed run reruns cheaply because every
+upstream stage is deterministic.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ def main() -> None:
     import hashlib
 
     import numpy as np
+    import pandas as pd
     import pyarrow as pa
 
     from miru_ray.functions.tokenize import tokenize_column
@@ -45,29 +48,46 @@ def main() -> None:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     out_dir = sys.argv[2] if len(sys.argv) > 2 else "/tmp/curated_docs"
 
-    # --- stage 0: exact-dedup winners (first doc_id per md5(text)) -----
-    # The winner set is O(unique docs) ids — the ONE small broadcast.
-    from miru_ray.pipelines.dedup import dedup_clusters, dedup_exact
-    winners = set(dedup_exact(sf_dir)["doc_id"].to_pylist())
-    w_ref = ray.put(np.sort(np.fromiter(winners, dtype=np.int64)))
+    # --- stage 0: exact-dup losers — every doc but the first doc_id per
+    # md5(text). Fingerprints bucket on their hash, so each bucket's
+    # groupby sees whole fingerprint groups; only losers leave it.
+    from miru_ray.functions.hashing import hash_strings
+    from miru_ray.pipelines.dedup import dedup_clusters
+    from miru_ray.pipelines.textstats import md5_fingerprint_batch
+    nbkt = 64
+
+    def fp_bucket(batch: pa.Table) -> pa.Table:
+        fp = md5_fingerprint_batch(batch)
+        h = hash_strings(fp["fingerprint"].to_numpy(zero_copy_only=False))
+        return fp.append_column(
+            "_bkt", pa.array((h % np.uint64(nbkt)).astype(np.int64)))
+
+    def exact_losers(g: pd.DataFrame) -> pd.DataFrame:
+        first = g.groupby("fingerprint")["doc_id"].transform("min")
+        return pd.DataFrame({"doc_id": g["doc_id"][g["doc_id"] != first]
+                             .to_numpy(dtype=np.int64)})
+
+    exact = (read_table(sf_dir, "documents", columns=["doc_id", "text"])
+             .map_batches(fp_bucket, batch_format="pyarrow")
+             .groupby("_bkt").map_groups(exact_losers, batch_format="pandas")
+             .to_pandas())
+    exact_ids = (exact["doc_id"].to_numpy(dtype=np.int64) if len(exact)
+                 else np.empty(0, dtype=np.int64))
 
     # --- stage 0b: NEAR-dup keep-one — cluster resolution over the
-    # exact prefix-filtered Jaccard pair graph; drop every cluster
-    # member except the minimum-id canonical. Loser set is O(dup docs).
+    # exact prefix-filtered Jaccard pair graph; every cluster member
+    # except the minimum-id canonical joins the loser set.
     cl = dedup_clusters(sf_dir)
-    losers = cl.filter(pa.compute.not_equal(cl["doc_id"],
-                                            cl["cluster_id"]))
-    l_ref = ray.put(np.sort(losers["doc_id"].to_numpy()))
+    near = cl.filter(pa.compute.not_equal(cl["doc_id"], cl["cluster_id"]))
+    l_ref = ray.put(np.union1d(exact_ids, near["doc_id"].to_numpy()))
 
     ds = read_table(sf_dir, "documents",
                     columns=["doc_id", "text", "lang", "source"])
 
     def curate(batch: pa.Table) -> pa.Table:
-        w = ray.get(w_ref)
         ids = batch["doc_id"].to_numpy()
-        pos = np.searchsorted(w, ids)
-        keep = (pos < len(w)) & (w[np.minimum(pos, len(w) - 1)] == ids)
-        # near-dup losers out (sorted-membership test, same idiom)
+        keep = np.ones(len(ids), dtype=bool)
+        # exact- and near-dup losers out (sorted-membership test)
         l = ray.get(l_ref)
         if len(l):
             lpos = np.searchsorted(l, ids)

@@ -32,7 +32,7 @@ from miru_ray.functions.tokenize import tokenize
 
 __all__ = [
     "Term", "Prefix", "TermRange", "Phrase", "And", "Or", "PButNotQ",
-    "Filter", "parse_query", "evaluate", "query_terms",
+    "Filter", "parse_query", "field_names", "evaluate", "query_terms",
     "MAX_WILDCARD_EXPANSION",
 ]
 
@@ -98,6 +98,19 @@ class PButNotQ:
 
 
 Filter = Term | Prefix | TermRange | Phrase | And | Or | PButNotQ
+
+
+def field_names(q: str) -> set[str]:
+    """Names written with ``name:`` field syntax in query ``q`` — on bare
+    and quoted values alike, never inside a quoted phrase body —
+    whether or not a schema declares them."""
+    q = _PHRASE_RE.sub(lambda m: f" {m.group(2) or ''} ", q)
+    out = set()
+    for tok in q.split():
+        name, colon, _ = tok.lstrip("-").partition(":")
+        if colon and name:
+            out.add(name)
+    return out
 
 
 def parse_query(q: str, schema=None, stop: frozenset = frozenset()) -> Filter:

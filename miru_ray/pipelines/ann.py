@@ -674,34 +674,13 @@ def embedding_dedup_clusters(sf_dir: str, threshold: float = EMBED_NEAR_DUP_THRE
     :func:`embedding_near_dups` at ``threshold``, labeled with each
     component's minimum vec_id; one row per vector in a ≥2-member
     cluster, sorted by vec_id. The embedding twin of
-    ``dedup.dedup_clusters`` — the SAME two-tier solver (vectorized
-    local pointer jumping under the edge bound, distributed
-    label propagation past it), so semantic-dup collapse composes with
-    the lexical ladder. Oracle: recursive-CTE transitive closure over
-    the embedding_near_dups SQL."""
-    from miru_ray.pipelines.dedup import (_LOCAL_CC_EDGES, _cc_distributed,
-                                          _cc_local)
-
-    # Materialize the LAZY pair graph once, gate the tier on its lazy
-    # count, and feed the distributed tier from the same materialized
-    # dataset — the full pair table is only ever collected onto the
-    # driver on the small side of the bound (the ADVICE r4 #1 pattern,
-    # applied to the embedding twin).
-    pairs_ds = embedding_near_dups_ds(sf_dir, threshold).materialize()
-    n_pairs = pairs_ds.count()
-    if n_pairs == 0:
-        return pa.table({"vec_id": pa.array([], pa.int64()),
-                         "cluster_id": pa.array([], pa.int64())})
-    if n_pairs <= _LOCAL_CC_EDGES:
-        pairs = pairs_ds.to_pandas()
-        nodes, labels = _cc_local(pairs["vec_a"].to_numpy(),
-                                  pairs["vec_b"].to_numpy())
-    else:
-        edges = (pairs_ds.select_columns(["vec_a", "vec_b"])
-                         .rename_columns({"vec_a": "doc_a",
-                                          "vec_b": "doc_b"}))
-        lab = _cc_distributed(edges.materialize()).to_pandas()
-        lab = lab.sort_values("node")
-        nodes, labels = lab["node"].to_numpy(), lab["label"].to_numpy()
-    return pa.table({"vec_id": pa.array(nodes, pa.int64()),
-                     "cluster_id": pa.array(labels, pa.int64())})
+    ``dedup.dedup_clusters`` — the SAME resolver
+    (``dedup._resolve_clusters``: one tier decision between local
+    pointer jumping and distributed label propagation), so semantic-dup
+    collapse composes with the lexical ladder. Oracle: recursive-CTE
+    transitive closure over the embedding_near_dups SQL."""
+    from miru_ray.pipelines.dedup import _resolve_clusters
+    pairs = (embedding_near_dups_ds(sf_dir, threshold)
+             .select_columns(["vec_a", "vec_b"])
+             .rename_columns({"vec_a": "doc_a", "vec_b": "doc_b"}))
+    return _resolve_clusters(pairs).rename_columns(["vec_id", "cluster_id"])

@@ -514,12 +514,22 @@ def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
     full merge; falls back to full whenever preconditions fail."""
     import ray as _ray
     done = completed_parts(index_dir)
+    old_meta = layout.read_json(meta_path(index_dir))
+    # additive fields (schema_evolve.add_field) cannot ride a rebuilt
+    # meta: the rebuilt partitions lost their field sidecars. Their names
+    # stay recorded so a query naming one fails loudly until add_field
+    # re-derives it (search._refuse_dropped_fields)
+    prev = old_meta or {}
+    dropped = sorted(({r["name"] for r in prev.get("extra_fields", [])}
+                      | set(prev.get("dropped_fields", [])))
+                     - {f.name for f in (schema.fields if schema else ())})
+    dropped_meta = {"dropped_fields": dropped} if dropped else {}
     if not done:
         meta = {"num_parts": num_parts, "num_shards": num_shards,
                 "n_docs": 0, "avgdl": 0.0, "bases": {}, "k1": k1, "b": b,
                 "extractor_version": EXTRACTOR_VERSION, "skipped_parts": skipped,
                 "schema": schema.to_meta() if schema else [],
-                "analyzer": analyzer, **(mode_meta or {})}
+                "analyzer": analyzer, **dropped_meta, **(mode_meta or {})}
         write_json_atomic(meta_path(index_dir), meta)
         return meta
     parts_sorted = sorted(done)
@@ -543,7 +553,6 @@ def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
     _shutil0.rmtree(seg_tmp, ignore_errors=True)
     _shutil0.rmtree(seg_trash, ignore_errors=True)
     t_merge = time.perf_counter()
-    old_meta = layout.read_json(meta_path(index_dir))
     merge_mode = "full"
     # the merge decodes/encodes compressed blobs — CPU-bound, not
     # memory-streaming — so it never sheds below 2 CPUs/task even when the
@@ -696,6 +705,7 @@ def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
         "extractor_version": EXTRACTOR_VERSION,
         "skipped_parts": skipped,
         "schema": schema.to_meta() if schema else [],
+        **dropped_meta,
         "analyzer": analyzer,
         "tokenizer": "[a-z0-9]+ lowercase",
         "n_terms": int(sum(r["n_terms"] for r in seg_stats)),

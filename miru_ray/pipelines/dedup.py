@@ -6,12 +6,19 @@
 - minhash LSH — near-dup pipeline, every stage distributed: word-shingles
   → 64 minhashes → 16 bands × 4 rows (one fully-vectorized numpy kernel
   per batch) → groupby(band bucket) → candidate pairs → bucketed
-  pair-dedup exchange → actor-pool exact-Jaccard verify with
-  parquet-pushdown text gather (NO driver-side pair/text
-  materialization — candidate AND verified-pair volume on
-  boilerplate-heavy web data scales with the corpus, so the lazy
-  ``minhash_near_dups_ds`` form is the default curation path and feeds
-  the distributed CC solver directly).
+  pair-dedup exchange → exact-Jaccard verify, its plan picked from the
+  measured candidate count (NO driver-side pair/text materialization —
+  candidate AND verified-pair volume on boilerplate-heavy web data
+  scales with the corpus, so the lazy ``minhash_near_dups_ds`` form is
+  the default curation path and feeds the distributed CC solver
+  directly).
+- n-gram Jaccard — the ONE exact engine: PPJoin prefix filter over
+  shingle postings → the same bucketed pair expansion as the LSH tier
+  → the same exact-Jaccard verify actor pool. Lossless at J ≥ t, so it
+  takes a value-exact SQL oracle.
+- clusters   — ONE connected-components resolver for every pair graph
+  (n-gram, MinHash, embedding): a local pointer-jumping solve under an
+  edge bound, distributed label propagation past it.
 - simhash    — 64-bit simhash per doc (tf-weighted md5 token hashes,
   big-endian first 8 bytes — bit-identical to the DuckDB oracle in
   __ray_entry__.oracle_sql).
@@ -19,7 +26,8 @@
 
 Shingle identity: a shingle is the polynomial hash of K consecutive token
 siphashes (functions/hashing.hash_strings) — vectorized, no per-shingle
-string building or md5 calls. Jaccard over the hashed shingle SETS equals
+string building or md5 calls; ``_shingles_from_flat_texts`` is the one
+batch kernel every tier calls. Jaccard over the hashed shingle SETS equals
 Jaccard over the string shingle sets modulo 64-bit collisions
 (deterministic; the SQL oracle computes the string-set version).
 """
@@ -41,8 +49,7 @@ from miru_ray.sources.tables import read_table
 __all__ = ["dedup_exact", "minhash_near_dups", "minhash_near_dups_ds",
            "simhash64", "simhash64_ds",
            "ngram_jaccard_pairs", "ngram_jaccard_pairs_ds",
-           "ngram_jaccard_prefix",
-           "ngram_jaccard_prefix_ds", "dedup_clusters", "dedup_clusters_ds",
+           "dedup_clusters", "dedup_clusters_ds",
            "dedup_keep_one", "dedup_keep_one_ds", "minhash_dedup_clusters",
            "minhash_dedup_clusters_ds", "shingle_set",
            "jaccard", "NUM_HASHES", "NUM_BANDS", "SHINGLE_K"]
@@ -96,6 +103,17 @@ def _shingles_from_flat(tok_hashes: np.ndarray,
     return docs[keep], hashes[keep]
 
 
+def _shingles_from_flat_texts(texts) -> tuple[np.ndarray, np.ndarray]:
+    """A text column → (batch doc index, shingle hash), per-doc distinct
+    and sorted by (doc, hash): tokenize + hash + :func:`_shingles_from_flat`."""
+    tok_lists = tokenize_column(texts)
+    offsets = tok_lists.offsets.to_numpy(zero_copy_only=False)
+    doclens = np.diff(offsets).astype(np.int64)
+    flat = tok_lists.flatten().to_numpy(zero_copy_only=False)
+    tok_h = hash_strings(flat) if len(flat) else np.empty(0, dtype=np.uint64)
+    return _shingles_from_flat(tok_h, doclens)
+
+
 def shingle_set(text: str, k: int = SHINGLE_K) -> np.ndarray:
     """Sorted uint64 hashes of word k-shingles of ONE doc (verify/tests)."""
     assert k == SHINGLE_K
@@ -113,21 +131,16 @@ def jaccard(a: np.ndarray, b: np.ndarray) -> float:
     return inter / union if union else 0.0
 
 
-def _batch_signatures(texts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n_docs × NUM_HASHES minhash signature matrix, doclens, bool mask
-    of docs that HAVE shingles). One numpy pass per hash function; no
-    per-row Python. Docs without shingles keep the all-sentinel signature
-    and must be EXCLUDED from LSH banding — otherwise every empty doc
+def _batch_signatures(texts) -> tuple[np.ndarray, np.ndarray]:
+    """(n_docs × NUM_HASHES minhash signature matrix, bool mask of docs
+    that HAVE shingles). One numpy pass per hash function; no per-row
+    Python. Docs without shingles keep the all-sentinel signature and
+    must be EXCLUDED from LSH banding — otherwise every empty doc
     collides with every other in every band (quadratic candidate blowup)
     while the oracle, which emits no shingles for them, never pairs
     them."""
-    tok_lists = tokenize_column(texts)
-    offsets = tok_lists.offsets.to_numpy(zero_copy_only=False)
-    doclens = np.diff(offsets).astype(np.int64)
-    flat = tok_lists.flatten().to_numpy(zero_copy_only=False)
-    tok_h = hash_strings(flat) if len(flat) else np.empty(0, dtype=np.uint64)
-    docs, sh = _shingles_from_flat(tok_h, doclens)
-    ndocs = len(doclens)
+    docs, sh = _shingles_from_flat_texts(texts)
+    ndocs = len(texts)
     sig = np.full((ndocs, NUM_HASHES), np.uint64(_MERSENNE), dtype=np.uint64)
     if len(sh):
         counts = np.bincount(docs, minlength=ndocs)
@@ -139,7 +152,7 @@ def _batch_signatures(texts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     has = np.zeros(ndocs, dtype=bool)
     if len(sh):
         has[present] = True
-    return sig, doclens, has
+    return sig, has
 
 
 def _band_rows(batch: pa.Table, *, num_pair_parts: int) -> pa.Table:
@@ -151,7 +164,7 @@ def _band_rows(batch: pa.Table, *, num_pair_parts: int) -> pa.Table:
     GROUP, and bucket count ≈ docs × NUM_BANDS."""
     from miru_ray.functions.runtime import limit_worker_threads
     limit_worker_threads()
-    sig, _dl, has = _batch_signatures(batch["text"])
+    sig, has = _batch_signatures(batch["text"])
     sig = sig[has]
     doc_ids = batch["doc_id"].to_numpy()[has]
     ndocs = sig.shape[0]
@@ -169,9 +182,10 @@ def _band_rows(batch: pa.Table, *, num_pair_parts: int) -> pa.Table:
 
 
 def _pairs_many(group: pd.DataFrame) -> pd.DataFrame:
-    """ALL buckets of one coarse partition → locally-deduped candidate
-    pairs. Vectorized run detection; the only Python loop is over buckets
-    that actually collide (≥2 docs) — rare by construction."""
+    """ALL buckets (LSH band keys, or prefix shingles for the exact
+    n-gram tier) of one coarse partition → locally-deduped candidate
+    pairs, doc_a < doc_b. Vectorized run detection; the only Python loop
+    is over buckets that actually collide (≥2 docs)."""
     k = group["band_key"].to_numpy(dtype=np.uint64)
     d = group["doc_id"].to_numpy(dtype=np.int64)
     order = np.lexsort((d, k))
@@ -289,15 +303,6 @@ class PairVerifier:
         return pa.table({"doc_a": pa.array(da[keep], pa.int64()),
                          "doc_b": pa.array(db[keep], pa.int64()),
                          "jaccard": pa.array(np.round(j[keep], 6), pa.float64())})
-
-
-def _shingles_from_flat_texts(texts) -> tuple[np.ndarray, np.ndarray]:
-    tok_lists = tokenize_column(texts)
-    offsets = tok_lists.offsets.to_numpy(zero_copy_only=False)
-    doclens = np.diff(offsets).astype(np.int64)
-    flat = tok_lists.flatten().to_numpy(zero_copy_only=False)
-    tok_h = hash_strings(flat) if len(flat) else np.empty(0, dtype=np.uint64)
-    return _shingles_from_flat(tok_h, doclens)
 
 
 def dedup_exact(sf_dir: str) -> pa.Table:
@@ -490,8 +495,34 @@ def _verify_pairs_join(sf_dir: str, pairs, threshold: float,
 _VERIFY_JOIN_MIN_PAIRS = 65536
 
 
-def minhash_near_dups_ds(sf_dir: str, threshold: float = 0.8,
-                         verify: str = "auto"):
+def _verify_gather(pairs, sf_dir: str, threshold: float):
+    """Exact-Jaccard verify of a (doc_a, doc_b) candidate Dataset by the
+    PairVerifier actor pool — pushdown text gather, so only the row
+    groups the pairs need are read."""
+    import os
+    return pairs.map_batches(
+        PairVerifier, batch_format="pyarrow",
+        batch_size=4096, concurrency=(1, 8),
+        fn_constructor_kwargs={"src": os.path.join(sf_dir, "documents.parquet"),
+                               "threshold": threshold})
+
+
+_PAIRS_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                           ("jaccard", pa.float64())])
+
+
+def _pair_table(got: pd.DataFrame) -> pa.Table:
+    """Collected verified pairs → (doc_a, doc_b, jaccard), one row per
+    pair, sorted by (doc_a, doc_b), typed even when empty."""
+    if got.empty:
+        return _PAIRS_SCHEMA.empty_table()
+    got = (got.drop_duplicates(["doc_a", "doc_b"])
+              .sort_values(["doc_a", "doc_b"]))
+    return pa.Table.from_pandas(got[_PAIRS_SCHEMA.names], schema=_PAIRS_SCHEMA,
+                                preserve_index=False)
+
+
+def minhash_near_dups_ds(sf_dir: str, threshold: float = 0.8):
     """Lazy Dataset of verified near-dup pairs (doc_a, doc_b, jaccard),
     duplicate-free by construction — the 100-TB default curation path.
 
@@ -500,10 +531,10 @@ def minhash_near_dups_ds(sf_dir: str, threshold: float = 0.8,
     bucketed pair-DEDUP exchange (a pair surfacing from several bands
     is folded to one row BEFORE verification) → exact-Jaccard verify.
 
-    ``verify`` picks the verify plan ('auto' measures the deduped
-    candidate count): 'gather' = PairVerifier actor pool with pushdown
+    The verify plan follows the deduped candidate count: under
+    ``_VERIFY_JOIN_MIN_PAIRS`` the PairVerifier actor pool with pushdown
     text gather (sparse-dup corpora — touches only the row groups the
-    pairs need); 'join' = the single-corpus-scan shingle-set join
+    pairs need); at or past it the single-corpus-scan shingle-set join
     (:func:`_verify_pairs_join` — boilerplate-heavy corpora, where
     per-batch gathers degenerate into repeated corpus scans; measured
     279 s → ~30 s on the 1M-doc/4.45M-pair fixture). Both plans are
@@ -511,31 +542,22 @@ def minhash_near_dups_ds(sf_dir: str, threshold: float = 0.8,
     feed the result straight into the distributed CC solver
     (minhash_dedup_clusters)."""
     import functools
-    import os
     import ray as _ray
     ncpu = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
     num_pair_parts = max(2 * ncpu, 16)
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    src = os.path.join(sf_dir, "documents.parquet")
     cands = (ds.map_batches(functools.partial(_band_rows,
                                               num_pair_parts=num_pair_parts),
                             batch_format="pyarrow", batch_size=1024)
                .groupby("bpart")
                .map_groups(_pairs_many, batch_format="pandas"))
-    deduped = _pair_dedup_exchange(cands)
-    if verify == "auto":
-        # the count is the plan input; materializing the (bounded,
-        # post-dedup) candidate pairs also means the verify plan reuses
-        # them instead of recomputing the expansion
-        deduped = deduped.materialize()
-        verify = ("join" if deduped.count() >= _VERIFY_JOIN_MIN_PAIRS
-                  else "gather")
-    if verify == "join":
+    # the count is the plan input; materializing the (bounded, post-dedup)
+    # candidate pairs also means the verify plan reuses them instead of
+    # recomputing the expansion
+    deduped = _pair_dedup_exchange(cands).materialize()
+    if deduped.count() >= _VERIFY_JOIN_MIN_PAIRS:
         return _verify_pairs_join(sf_dir, deduped, threshold)
-    return deduped.map_batches(
-        PairVerifier, batch_format="pyarrow",
-        batch_size=4096, concurrency=(1, 8),
-        fn_constructor_kwargs={"src": src, "threshold": threshold})
+    return _verify_gather(deduped, sf_dir, threshold)
 
 
 def minhash_near_dups(sf_dir: str, threshold: float = 0.8) -> pa.Table:
@@ -543,11 +565,7 @@ def minhash_near_dups(sf_dir: str, threshold: float = 0.8) -> pa.Table:
     shingle Jaccard ≥ threshold. doc_a < doc_b; sorted output. Driver
     adapter over :func:`minhash_near_dups_ds` (the collected table is
     verified near-dups only; at web scale use the Dataset form)."""
-    got = minhash_near_dups_ds(sf_dir, threshold).to_pandas()
-    got = got.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-    return pa.table({"doc_a": pa.array(got["doc_a"].to_numpy(), pa.int64()),
-                     "doc_b": pa.array(got["doc_b"].to_numpy(), pa.int64()),
-                     "jaccard": pa.array(got["jaccard"].to_numpy(), pa.float64())})
+    return _pair_table(minhash_near_dups_ds(sf_dir, threshold).to_pandas())
 
 
 def simhash64_ds(sf_dir: str):
@@ -615,279 +633,77 @@ def simhash64(sf_dir: str) -> pa.Table:
     return t.sort_by("doc_id")
 
 
-# ---- exact n-gram Jaccard near-dups (inverted-index all-pairs) --------
-
-
-def _nj_shingle_rows(batch: pa.Table) -> pa.Table:
-    """doc → per-doc-DISTINCT (spart, sh, doc_id) shingle-posting rows;
-    the same 3-token polynomial shingles the minhash tier uses."""
-    from miru_ray.functions.runtime import limit_worker_threads
-    limit_worker_threads()
-    tok_lists = tokenize_column(batch["text"])
-    doclens = np.diff(tok_lists.offsets.to_numpy(zero_copy_only=False))
-    flat = tok_lists.flatten().to_numpy(zero_copy_only=False)
-    tok_h = hash_strings(flat) if len(flat) else np.empty(0, dtype=np.uint64)
-    docs, sh = _shingles_from_flat(tok_h, doclens.astype(np.int64))
-    doc_ids = batch["doc_id"].to_numpy()[docs]
-    return pa.table({
-        "spart": pa.array((sh % np.uint64(_NJ_PARTS)).astype(np.int64),
-                          pa.int64()),
-        "sh": pa.array(sh, pa.uint64()),
-        "doc_id": pa.array(doc_ids, pa.int64()),
-    })
-
-
-def _nj_pairs(group: pd.DataFrame) -> pd.DataFrame:
-    """One shingle bucket → locally-summed co-occurrence partials
-    (pbucket, doc_a, doc_b, cnt). A shingle hash lives in exactly one
-    bucket, so summing cnt across buckets gives the EXACT |A ∩ B|."""
-    k = group["sh"].to_numpy(dtype=np.uint64)
-    d = group["doc_id"].to_numpy(dtype=np.int64)
-    order = np.lexsort((d, k))
-    k, d = k[order], d[order]
-    empty = pd.DataFrame({"pbucket": np.empty(0, dtype=np.int64),
-                          "doc_a": np.empty(0, dtype=np.int64),
-                          "doc_b": np.empty(0, dtype=np.int64),
-                          "cnt": np.empty(0, dtype=np.int64)})
-    if len(k) < 2:
-        return empty
-    change = np.flatnonzero(k[1:] != k[:-1]) + 1
-    starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [len(k)]])
-    out_a, out_b = [], []
-    for s, e in zip(starts, ends):
-        if e - s >= 2:
-            a, b = np.triu_indices(e - s, k=1)
-            out_a.append(d[s:e][a])
-            out_b.append(d[s:e][b])
-    if not out_a:
-        return empty
-    da, db = np.concatenate(out_a), np.concatenate(out_b)
-    # local partial sum per (a, b): 64-bit-safe lexsort + reduceat
-    order = np.lexsort((db, da))
-    da, db = da[order], db[order]
-    new = np.concatenate([[True], (da[1:] != da[:-1]) | (db[1:] != db[:-1])])
-    starts = np.flatnonzero(new)
-    cnt = np.add.reduceat(np.ones(len(da), dtype=np.int64), starts)
-    da, db = da[starts], db[starts]
-    return pd.DataFrame({
-        "pbucket": ((da * 31 + db) % _NJ_PARTS).astype(np.int64),
-        "doc_a": da, "doc_b": db, "cnt": cnt})
-
-
-def _nj_sum(group: pd.DataFrame) -> pd.DataFrame:
-    g = (group.groupby(["doc_a", "doc_b"], sort=False)["cnt"].sum()
-              .reset_index(name="inter"))
-    return g
-
-
-def ngram_jaccard_pairs_ds(sf_dir: str, threshold: float = 0.8):
-    """Lazy Dataset of EXACT all-pairs word-3-gram Jaccard SURVIVORS
-    (doc_a, doc_b, jaccard ≥ threshold) — the streaming core of
-    :func:`ngram_jaccard_pairs`, the n-gram-Jaccard dedup tier:
-    no LSH, no sampling — candidate generation is a shingle INVERTED
-    INDEX (any pair with |A∩B| ≥ 1 is generated), so unlike
-    minhash_near_dups the result carries no recall caveat and takes a
-    value-exact SQL oracle.
-
-    Distributed shape (4 bounded exchanges, nothing driver-side):
-      1. shingle postings (sh, doc) bucket on sh — pair expansion +
-         LOCAL (a,b) partial counts per bucket (a shingle lives in
-         exactly one bucket → partials sum to the exact intersection);
-      2. pair partials bucket on (a,b) → |A∩B|;
-      3./4. per-doc shingle counts attach through two small keyed
-         exchanges (bucket on a, then on b) — the same union-side-tag
-         merge customer_revenue uses; no doc→len broadcast. The
-         Jaccard compute AND the ≥-threshold filter fold into the
-         second attach's bucket merge, so any collector downstream
-         sees only survivors — never the unbounded pre-threshold
-         candidate set (VERDICT r4 #2).
-    Work is O(Σ_sh df(sh)²) — exact-Jaccard's inherent cost; ultra-hot
-    shingles make it quadratic, which is WHY the sub-quadratic default
-    for web corpora is minhash_near_dups (this entry is its exact
-    oracle-grade sibling; ngram_jaccard_prefix is the PPJoin-refined
-    exact tier). Shingle identity is the 64-bit polynomial hash —
-    equal to string-shingle Jaccard modulo 2^-64 collisions
-    (dedup.py header).
-
-    Reference: dedup is beyond the reference's operator set; nearest
-    ancestor is the distinct-count path (MiruAggregateUtil.java).
-    """
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    # tokenize+hash+shingle ONCE: both consumers (pair expansion and the
-    # per-doc distinct-shingle counts) read the same materialized shingle
-    # rows — the CPU-heavy scan is never paid twice. nsh = rows per doc
-    # of this very dataset (rows are per-doc distinct), summed through a
-    # tiny bucketed exchange so the count is right even if one doc's
-    # rows straddle an output-block split.
-    shingles = (ds.map_batches(_nj_shingle_rows, batch_format="pyarrow",
-                               batch_size=1024).materialize())
-    pairs = (shingles
-             .groupby("spart").map_groups(_nj_pairs, batch_format="pandas")
-             .groupby("pbucket").map_groups(_nj_sum, batch_format="pandas"))
-
-    def _count_partial(t: pa.Table) -> pa.Table:
-        ids, n = np.unique(t["doc_id"].to_numpy(), return_counts=True)
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "nsh": pa.array(n.astype(np.int64), pa.int64())})
-
-    from miru_ray.functions.rollup import bucketed_sum_rollup
-    lens = bucketed_sum_rollup(
-        shingles.map_batches(_count_partial, batch_format="pyarrow"),
-        keys=["doc_id"], val_cols=["nsh"]).materialize()
-
-    def _attach(ds_pairs, side_key: str, pair_cols: list[str], post=None):
-        """One keyed exchange: pair rows bucket on ``side_key``, len
-        rows bucket on doc_id; the bucket group inner-merges, adding
-        column ``n_<side_key>``. The union side-tag trick keeps ONE
-        shuffle per attach (same shape as customer_revenue); both sides
-        emit the identical column list so the union schema lines up.
-        ``post`` runs INSIDE each bucket merge — the final attach folds
-        the Jaccard compute + threshold filter there, so only survivors
-        ever leave the exchange."""
-        cols = pair_cols + ["nsh", "kbucket", "side"]
-
-        def tag_pairs(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["nsh"] = np.int64(0)
-            df["kbucket"] = df[side_key].to_numpy() % _NJ_PARTS
-            df["side"] = np.int8(0)
-            return df[cols]
-
-        def tag_lens(df: pd.DataFrame) -> pd.DataFrame:
-            out = pd.DataFrame(
-                {c: np.zeros(len(df), dtype=np.int64) for c in pair_cols})
-            out[side_key] = df["doc_id"].to_numpy()
-            out["nsh"] = df["nsh"].to_numpy()
-            out["kbucket"] = out[side_key].to_numpy() % _NJ_PARTS
-            out["side"] = np.int8(1)
-            return out[cols]
-
-        def merge(g: pd.DataFrame) -> pd.DataFrame:
-            p = g[g["side"] == 0].drop(columns=["kbucket", "side", "nsh"])
-            l = (g[g["side"] == 1][[side_key, "nsh"]]
-                 .rename(columns={"nsh": f"n_{side_key}"}))
-            m = p.merge(l, on=side_key, how="inner")
-            return post(m) if post is not None else m
-
-        tagged_pairs = ds_pairs.map_batches(tag_pairs, batch_format="pandas")
-        tagged_lens = lens.map_batches(tag_lens, batch_format="pandas")
-        return (tagged_pairs.union(tagged_lens)
-                .groupby("kbucket").map_groups(merge, batch_format="pandas"))
-
-    def finalize(m: pd.DataFrame) -> pd.DataFrame:
-        inter = m["inter"].to_numpy(dtype=np.float64)
-        union = (m["n_doc_a"].to_numpy() + m["n_doc_b"].to_numpy()
-                 - m["inter"].to_numpy()).astype(np.float64)
-        j = inter / np.maximum(union, 1.0)
-        keep = j >= threshold
-        return pd.DataFrame({
-            "doc_a": m["doc_a"].to_numpy(dtype=np.int64)[keep],
-            "doc_b": m["doc_b"].to_numpy(dtype=np.int64)[keep],
-            "jaccard": np.round(j[keep], 6)})
-
-    pairs = _attach(pairs, "doc_a", ["doc_a", "doc_b", "inter"])
-    return _attach(pairs, "doc_b", ["doc_a", "doc_b", "inter", "n_doc_a"],
-                   post=finalize)
-
-
-def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.8) -> pa.Table:
-    """(doc_a, doc_b, jaccard) — collected form of
-    :func:`ngram_jaccard_pairs_ds` (doc_a < doc_b; sorted; jaccard
-    6 dp). The driver sees only threshold survivors — the distributed
-    finalize means no unbounded pre-threshold intermediate lands here."""
-    got = ngram_jaccard_pairs_ds(sf_dir, threshold).to_pandas()
-    if got.empty:
-        return pa.table({"doc_a": pa.array([], pa.int64()),
-                         "doc_b": pa.array([], pa.int64()),
-                         "jaccard": pa.array([], pa.float64())})
-    got = got.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-    return pa.table({"doc_a": pa.array(got["doc_a"].to_numpy(), pa.int64()),
-                     "doc_b": pa.array(got["doc_b"].to_numpy(), pa.int64()),
-                     "jaccard": pa.array(got["jaccard"].to_numpy(),
-                                         pa.float64())})
-
-
-# ------------------------------------------- prefix-filtered exact Jaccard
+# ------------------------------------- exact n-gram Jaccard (prefix filter)
 
 def _nj_prefix_rows(batch: pa.Table, threshold: float) -> pa.Table:
-    """Like ``_nj_shingle_rows`` but emits only each doc's PREFIX under
+    """doc → (bpart, band_key, doc_id) rows for each doc's PREFIX under
     the global shingle-hash order: the first |A| − ⌈t·|A|⌉ + 1 smallest
-    hashes. The prefix-filter theorem (PPJoin family): two sets with
-    J(A,B) ≥ t MUST share at least one prefix element under any one
-    global total order — so candidate generation from prefix postings
-    alone is LOSSLESS for pairs at or above the threshold, while only
-    ~(1−t) of each doc's shingles enter the quadratic pair expansion
-    (~(1−t)² of the pair work). Hash order costs no extra pass; a global
-    df order (rarest first) is the known further refinement."""
+    shingle hashes, each row keyed by its hash (``band_key``, so
+    :func:`_pairs_many` expands it like an LSH bucket). The prefix-filter
+    theorem (PPJoin family): two sets with J(A,B) ≥ t MUST share at
+    least one prefix element under any one global total order — so
+    candidate generation from prefix postings alone is LOSSLESS for
+    pairs at or above the threshold, while only ~(1−t) of each doc's
+    shingles enter the quadratic pair expansion (~(1−t)² of the pair
+    work). Hash order costs no extra pass; a global df order (rarest
+    first) is the known further refinement."""
     from miru_ray.functions.runtime import limit_worker_threads
     limit_worker_threads()
-    tok_lists = tokenize_column(batch["text"])
-    doclens = np.diff(tok_lists.offsets.to_numpy(zero_copy_only=False))
-    flat = tok_lists.flatten().to_numpy(zero_copy_only=False)
-    tok_h = hash_strings(flat) if len(flat) else np.empty(0, dtype=np.uint64)
-    docs, sh = _shingles_from_flat(tok_h, doclens.astype(np.int64))
-    order = np.lexsort((sh, docs))
-    docs, sh = docs[order], sh[order]
+    docs, sh = _shingles_from_flat_texts(batch["text"])   # (doc, hash)-sorted
     starts = np.flatnonzero(np.concatenate([[True], docs[1:] != docs[:-1]]))
     counts = np.diff(np.concatenate([starts, [len(docs)]]))
     rank = np.arange(len(docs)) - np.repeat(starts, counts)
     nsh = np.repeat(counts, counts)
-    k = nsh - np.ceil(threshold * nsh).astype(np.int64) + 1
-    keep = rank < k
+    keep = rank < nsh - np.ceil(threshold * nsh).astype(np.int64) + 1
     docs, sh = docs[keep], sh[keep]
-    doc_ids = batch["doc_id"].to_numpy()[docs]
     return pa.table({
-        "spart": pa.array((sh % np.uint64(_NJ_PARTS)).astype(np.int64),
+        "bpart": pa.array((sh % np.uint64(_NJ_PARTS)).astype(np.int64),
                           pa.int64()),
-        "sh": pa.array(sh, pa.uint64()),
-        "doc_id": pa.array(doc_ids, pa.int64()),
+        "band_key": pa.array(sh, pa.uint64()),
+        "doc_id": pa.array(batch["doc_id"].to_numpy()[docs], pa.int64()),
     })
 
 
-def ngram_jaccard_prefix_ds(sf_dir: str, threshold: float = 0.8):
-    """Lazy Dataset of verified pairs (doc_a, doc_b, jaccard) from the
-    PPJoin prefix-filtered exact tier. May contain DUPLICATE pairs — a
-    candidate can surface from several shingle buckets and each copy is
-    re-verified (the per-actor shingle cache makes that cheap);
-    collectors dedupe. This is the streaming core shared by
-    :func:`ngram_jaccard_prefix` and :func:`dedup_clusters`."""
+def ngram_jaccard_pairs_ds(sf_dir: str, threshold: float = 0.8):
+    """Lazy Dataset of EXACT word-3-gram Jaccard pairs (doc_a, doc_b,
+    jaccard ≥ threshold; doc_a < doc_b) — the streaming core of
+    :func:`ngram_jaccard_pairs` and :func:`dedup_clusters_ds`. No LSH,
+    no sampling: prefix postings (:func:`_nj_prefix_rows`) generate every
+    pair at or above the threshold, so unlike minhash_near_dups the
+    result carries no recall caveat and takes a value-exact SQL oracle.
+
+    ONE exchange: prefix postings bucket on shingle → the LSH tier's
+    pair expansion (:func:`_pairs_many`) → the exact-Jaccard verify
+    actor pool, so the Dataset yields only threshold survivors. A pair
+    sharing prefix shingles in several buckets is verified and yielded
+    once per bucket — the Dataset MAY REPEAT A PAIR. Collectors dedupe
+    (:func:`_pair_table`) and the CC solver is indifferent. No
+    pair-dedup exchange runs before the verifier: it would add a whole
+    all-to-all to save re-verifying repeats, which the per-actor shingle
+    cache makes cheap. Shingle identity is the 64-bit polynomial hash
+    (module header).
+
+    Reference: dedup is beyond the reference's operator set; nearest
+    ancestor is the distinct-count path (MiruAggregateUtil.java).
+    """
     import functools
-    import os
-    src = os.path.join(sf_dir, "documents.parquet")
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    # ONE exchange: prefix postings bucket on shingle → local pair
-    # expansion. Unlike the brute tier there is NO (a,b)-keyed rollup —
-    # the verifier recomputes exact Jaccard anyway, so candidate pairs
-    # surfacing from several shingle buckets are simply re-verified
-    # (per-actor shingle cache makes that cheap) and deduped in the
-    # final small result, saving a whole all-to-all.
     cands = (ds.map_batches(functools.partial(_nj_prefix_rows,
                                               threshold=threshold),
                             batch_format="pyarrow", batch_size=1024)
-               .groupby("spart").map_groups(_nj_pairs,
+               .groupby("bpart").map_groups(_pairs_many,
                                             batch_format="pandas"))
-    return cands.map_batches(
-        lambda t: t.select(["doc_a", "doc_b"]), batch_format="pyarrow") \
-        .map_batches(PairVerifier, batch_format="pyarrow",
-                     batch_size=4096, concurrency=(1, 8),
-                     fn_constructor_kwargs={"src": src,
-                                            "threshold": threshold})
+    return _verify_gather(cands, sf_dir, threshold)
 
 
 _NJP_CACHE: dict[tuple, tuple[tuple, pa.Table]] = {}
 _MEMO_MAX = 3   # LRU bound on the collected pair/cluster memos
 
 
-def ngram_jaccard_prefix(sf_dir: str, threshold: float = 0.8) -> pa.Table:
-    """(doc_a, doc_b, jaccard) — the SAME exact contract as
-    ``ngram_jaccard_pairs`` (value-identical, shared SQL oracle), with
-    PPJoin-style prefix filtering as the candidate generator: pair
-    expansion runs over prefix postings only (lossless at J ≥ t), and
-    survivors are verified by the exact-Jaccard actor pool
-    (``PairVerifier`` — pushdown text gather, no driver-side candidate
-    texts). This is the sub-quadratic EXACT tier for web-scale corpora;
-    the plain inverted-index form remains its brute-force oracle twin.
+def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.8) -> pa.Table:
+    """(doc_a, doc_b, jaccard) — collected form of
+    :func:`ngram_jaccard_pairs_ds`: one row per pair, doc_a < doc_b,
+    sorted, jaccard 6 dp.
 
     Memoized per (corpus file, threshold) — the pair scan is shared by
     the clusters/keep-one consumers, so a sweep pays for ONE scan; the
@@ -898,27 +714,9 @@ def ngram_jaccard_prefix(sf_dir: str, threshold: float = 0.8) -> pa.Table:
     src = os.path.join(sf_dir, "documents.parquet")
     return stat_validated_memo(
         _NJP_CACHE, (os.path.abspath(src), threshold), src,
-        lambda: _ngram_jaccard_prefix_collect(sf_dir, threshold),
+        lambda: _pair_table(ngram_jaccard_pairs_ds(sf_dir, threshold)
+                            .to_pandas()),
         max_entries=_MEMO_MAX)
-
-
-def _njp_finalize(got: pd.DataFrame) -> pa.Table:
-    """Collected prefix-tier pairs → deduped, sorted arrow table (the
-    ds form may carry duplicate pairs; see ngram_jaccard_prefix_ds)."""
-    if got.empty:
-        return pa.table({"doc_a": pa.array([], pa.int64()),
-                         "doc_b": pa.array([], pa.int64()),
-                         "jaccard": pa.array([], pa.float64())})
-    got = (got.drop_duplicates(["doc_a", "doc_b"])
-              .sort_values(["doc_a", "doc_b"]).reset_index(drop=True))
-    return pa.table({"doc_a": pa.array(got["doc_a"].to_numpy(), pa.int64()),
-                     "doc_b": pa.array(got["doc_b"].to_numpy(), pa.int64()),
-                     "jaccard": pa.array(got["jaccard"].to_numpy(),
-                                         pa.float64())})
-
-
-def _ngram_jaccard_prefix_collect(sf_dir: str, threshold: float) -> pa.Table:
-    return _njp_finalize(ngram_jaccard_prefix_ds(sf_dir, threshold).to_pandas())
 
 
 # --------------------------------------------- near-dup cluster resolution
@@ -1087,98 +885,95 @@ def _cc_distributed(edges, nparts: int = _NJ_PARTS):
             return labels.select_columns(["node", "label"])
 
 
+def _clusters_ds(pairs):
+    """Lazy (doc_id, cluster_id) Dataset — distributed label propagation
+    over a (doc_a, doc_b) pair Dataset; nothing pair- or cluster-shaped
+    on the driver."""
+    return _cc_distributed(pairs).map_batches(
+        lambda t: t.rename_columns(["doc_id", "cluster_id"]),
+        batch_format="pyarrow")
+
+
+def _resolve_clusters(pairs, seed=None) -> pa.Table:
+    """(doc_id, cluster_id) sorted by doc_id — connected components of a
+    (doc_a, doc_b) pair Dataset, one row per node, labeled with its
+    component's minimum id. THE tier decision of every cluster entry:
+    the pair Dataset is materialized once and its count (an upper bound
+    on distinct edges when the Dataset repeats pairs) picks the tier.
+    Up to ``_LOCAL_CC_EDGES`` the pairs are collected and solved by
+    :func:`_cc_local`; past it they feed :func:`_clusters_ds` from the
+    same materialized Dataset, never collected (ADVICE r4 #1). ``seed``
+    receives the collected pairs on the local tier."""
+    pairs = pairs.materialize()
+    if pairs.count() > _LOCAL_CC_EDGES:
+        lab = _clusters_ds(pairs).to_pandas().sort_values("doc_id")
+        nodes, labels = lab["doc_id"].to_numpy(), lab["cluster_id"].to_numpy()
+    else:
+        got = pairs.to_pandas()
+        if seed is not None:
+            seed(got)
+        if got.empty:
+            nodes = labels = np.empty(0, dtype=np.int64)
+        else:
+            nodes, labels = _cc_local(got["doc_a"].to_numpy(),
+                                      got["doc_b"].to_numpy())
+    return pa.table({"doc_id": pa.array(nodes, pa.int64()),
+                     "cluster_id": pa.array(labels, pa.int64())})
+
+
 def dedup_clusters_ds(sf_dir: str, threshold: float = 0.8):
     """Lazy Dataset of (doc_id, cluster_id) via the DISTRIBUTED
     label-propagation solver — the scale form of :func:`dedup_clusters`
     (on a boilerplate-heavy crawl the cluster-member list is
     corpus-scale, so the collected table is a driver adapter only;
     write or iterate this one instead)."""
-    pairs = ngram_jaccard_prefix_ds(sf_dir, threshold).materialize()
-    lab = _cc_distributed(pairs)
-
-    def rename(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["doc_id", "cluster_id"])
-
-    return lab.map_batches(rename, batch_format="pyarrow")
+    return _clusters_ds(ngram_jaccard_pairs_ds(sf_dir, threshold))
 
 
 _CL_CACHE: dict[tuple, tuple[tuple, pa.Table]] = {}
 
 
-def dedup_clusters(sf_dir: str, threshold: float = 0.8,
-                   local_edge_bound: int = _LOCAL_CC_EDGES) -> pa.Table:
+def dedup_clusters(sf_dir: str, threshold: float = 0.8) -> pa.Table:
     """(doc_id, cluster_id) — CONNECTED COMPONENTS over the exact
-    near-dup pair graph (``ngram_jaccard_prefix`` pairs at ``threshold``):
+    near-dup pair graph (``ngram_jaccard_pairs`` at ``threshold``):
     one row per document that belongs to a ≥2-doc near-dup cluster,
     labeled with the cluster's minimum doc_id; sorted by doc_id. This is
     the resolution step between pairwise similarity and keep-one dedup —
     near-dup pairs are not transitive, so corpus dedup must cluster
     first (the standard web-pipeline step after MinHash/PPJoin).
 
-    Two exact tiers (pytest-pinned equal): a vectorized local
-    pointer-jumping solve while the pair list is under
-    ``local_edge_bound``, and the distributed label-propagation loop
-    (:func:`_cc_distributed` — 3 bounded exchanges per round, rounds =
-    component diameter) past it. The TIER DECISION is lazy (ADVICE r4
-    #1): the pair Dataset is materialized once and its .count() gates
-    the tiers, so the over-bound case never collects the pair table
-    onto the driver — only an under-bound count triggers the collect
-    (which then seeds the ngram_jaccard_prefix memo, keeping the
-    sweep's one-scan sharing). Memoized per (corpus file, threshold),
-    small-LRU-bounded.
+    Solved by :func:`_resolve_clusters` (local and distributed tiers,
+    pytest-pinned equal). Sweep sharing: a pair table the
+    ``ngram_jaccard_pairs`` memo already holds is reused instead of
+    re-scanning; otherwise a local-tier collect seeds that memo. The
+    over-bound case never collects the pairs. Memoized per (corpus
+    file, threshold), small-LRU-bounded.
 
     Reference: clustering is beyond the reference's operator set; its
     nearest ancestor is the distinct-value walk in
     MiruAggregateUtil.java (the same gather→resolve shape).
     """
     import os
+
+    import ray
     from miru_ray.state.layout import (stat_validated_memo,
                                        stat_validated_peek,
                                        stat_validated_put)
     src = os.path.join(sf_dir, "documents.parquet")
-    njp_key = (os.path.abspath(src), threshold)
-
-    def local_cc(got: pa.Table) -> pa.Table:
-        if got.num_rows == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "cluster_id": pa.array([], pa.int64())})
-        nodes, labels = _cc_local(got["doc_a"].to_numpy(),
-                                  got["doc_b"].to_numpy())
-        return pa.table({"doc_id": pa.array(nodes, pa.int64()),
-                         "cluster_id": pa.array(labels, pa.int64())})
+    key = (os.path.abspath(src), threshold)
 
     def build() -> pa.Table:
-        if local_edge_bound > 0:
-            # sweep sharing: reuse the pair table the ngram_jaccard_prefix
-            # entry ALREADY collected — but never force that collect
-            cached = stat_validated_peek(_NJP_CACHE, njp_key, src)
-            if cached is not None and cached.num_rows <= local_edge_bound:
-                return local_cc(cached)
-        # lazy-first: materialize the pair Dataset once; its count (an
-        # upper bound on unique edges — the ds form may hold duplicate
-        # pairs) gates the tiers without a driver-side collect
-        pairs = ngram_jaccard_prefix_ds(sf_dir, threshold).materialize()
-        n = pairs.count()
-        if n == 0:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "cluster_id": pa.array([], pa.int64())})
-        if local_edge_bound > 0 and n <= local_edge_bound:
-            got = _njp_finalize(pairs.to_pandas())
-            # seed the sibling memo: a later ngram_jaccard_prefix() call
-            # reuses this collect instead of re-scanning the corpus
-            stat_validated_put(_NJP_CACHE, njp_key, src, got,
-                               max_entries=_MEMO_MAX)
-            return local_cc(got)
-        # past the bound: distributed label propagation over the same
-        # materialized pair Dataset — nothing pair-shaped on the driver
-        lab = _cc_distributed(pairs).to_pandas().sort_values("node")
-        return pa.table({"doc_id": pa.array(lab["node"].to_numpy(),
-                                            pa.int64()),
-                         "cluster_id": pa.array(lab["label"].to_numpy(),
-                                                pa.int64())})
+        cached = stat_validated_peek(_NJP_CACHE, key, src)
+        if cached is not None:
+            return _resolve_clusters(ray.data.from_arrow(cached))
+        return _resolve_clusters(
+            ngram_jaccard_pairs_ds(sf_dir, threshold),
+            seed=lambda got: stat_validated_put(
+                _NJP_CACHE, key, src, _pair_table(got),
+                max_entries=_MEMO_MAX))
 
-    return stat_validated_memo(_CL_CACHE, (os.path.abspath(src), threshold),
-                               src, build, max_entries=_MEMO_MAX)
+    return stat_validated_memo(_CL_CACHE, key, src, build,
+                               max_entries=_MEMO_MAX)
 
 
 def dedup_keep_one_ds(sf_dir: str, threshold: float = 0.8, clusters_ds=None):
@@ -1230,46 +1025,19 @@ def minhash_dedup_clusters_ds(sf_dir: str, threshold: float = 0.8):
     LSH banding → bucketed pair dedup → exact verify → label
     propagation, with nothing pair- or cluster-shaped on the driver.
     Feed it to ``dedup_keep_one_ds(clusters_ds=...)`` or write it."""
-    pairs = minhash_near_dups_ds(sf_dir, threshold).materialize()
-    lab = _cc_distributed(pairs)
-
-    def rename(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["doc_id", "cluster_id"])
-
-    return lab.map_batches(rename, batch_format="pyarrow")
+    return _clusters_ds(minhash_near_dups_ds(sf_dir, threshold))
 
 
-def minhash_dedup_clusters(sf_dir: str, threshold: float = 0.8,
-                           local_edge_bound: int = _LOCAL_CC_EDGES) -> pa.Table:
+def minhash_dedup_clusters(sf_dir: str, threshold: float = 0.8) -> pa.Table:
     """(doc_id, cluster_id) — cluster resolution over the MinHash-LSH
     near-dup pair graph: the SUB-QUADRATIC clusters default for web
     corpora (candidate generation is banded LSH, so the pair graph —
     and therefore the clustering — inherits minhash_near_dups'
     probabilistic-recall contract; precision stays 1.0 because every
-    pair is exact-verified). Same two-tier CC solver as
-    :func:`dedup_clusters`, with the same LAZY tier decision: the
-    verified pair Dataset (already duplicate-free — see
-    minhash_near_dups_ds) is materialized once, its count gates the
-    tiers, and the over-bound case feeds the distributed solver
-    directly — no driver-side pair collect and no from_arrow round
-    trip anywhere on the scale path (VERDICT r4 #1). On fixture
-    corpora, where LSH recall is full, the result equals the exact
-    tier (pytest-pinned)."""
-    pairs = minhash_near_dups_ds(sf_dir, threshold).materialize()
-    n = pairs.count()
-    if n == 0:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "cluster_id": pa.array([], pa.int64())})
-    if n <= local_edge_bound:
-        got = pairs.to_pandas()
-        nodes, labels = _cc_local(got["doc_a"].to_numpy(),
-                                  got["doc_b"].to_numpy())
-    else:
-        lab = _cc_distributed(pairs).to_pandas()
-        lab = lab.sort_values("node")
-        nodes, labels = lab["node"].to_numpy(), lab["label"].to_numpy()
-    return pa.table({"doc_id": pa.array(nodes, pa.int64()),
-                     "cluster_id": pa.array(labels, pa.int64())})
+    pair is exact-verified). Same resolver as :func:`dedup_clusters`
+    (:func:`_resolve_clusters`). On fixture corpora, where LSH recall
+    is full, the result equals the exact tier (pytest-pinned)."""
+    return _resolve_clusters(minhash_near_dups_ds(sf_dir, threshold))
 
 
 def dedup_keep_one(sf_dir: str, threshold: float = 0.8) -> pa.Table:

@@ -23,8 +23,11 @@ Consistency rules (the additive contract's edges):
 - ``stored=True`` is rejected — storing would rewrite docs.parquet, which
   is exactly what additive evolution avoids;
 - a partition REBUILD (source change, repair) deletes the partition's
-  field sidecars (stages/partition_build.py) and the rebuilt meta drops
-  ``extra_fields`` — re-run add_field to re-derive them (safe direction);
+  field sidecars (stages/partition_build.py) and the rebuilt meta moves
+  the ``extra_fields`` names to ``dropped_fields``: a query naming one
+  raises until add_field re-derives it (the sip input need not even
+  carry the field's source columns, so the field cannot be carried
+  over);
 - source rows with the same (url, warc_ts) as a deduped-away duplicate
   resolve to the max field value per (url, warc_ts) — deterministic, and
   exact whenever (url, warc_ts) is unique (the normal case).
@@ -165,6 +168,9 @@ def add_field(index_dir: str, source, fdef) -> dict:
     extra = list(meta.get("extra_fields", []))
     extra.append(IndexSchema((fdef,)).to_meta()[0])
     meta["extra_fields"] = extra
+    dropped = [n for n in meta.pop("dropped_fields", []) if n != fdef.name]
+    if dropped:
+        meta["dropped_fields"] = dropped
     write_json_atomic(meta_path(index_dir), meta)
     return meta
 

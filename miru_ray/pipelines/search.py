@@ -30,8 +30,8 @@ import ray
 
 from miru_ray.functions.bm25 import bm25_term_scores, idf, topk_order
 from miru_ray.functions.filters import (PHRASE_VERIFY_BATCH, And, Filter, Or,
-                                        Term, evaluate, parse_query,
-                                        query_terms)
+                                        Term, evaluate, field_names,
+                                        parse_query, query_terms)
 from miru_ray.functions.postings import (BLOCK_SIZE, diff_sorted,
                                          intersect_sorted, union_sorted)
 from miru_ray.functions.tokenize import (STOPWORDS, near_pair_counts,
@@ -307,6 +307,7 @@ def _scatter(reader: IndexReader, plan: _Plan,
 def _query_plan(reader: IndexReader, query: str, k: int, time_range,
                 langs, authz, query_lang, prune) -> _Plan:
     """The top-k plan :func:`search` and :func:`search_scattered` share."""
+    _refuse_dropped_fields(reader, query)
     if query_lang is None and langs and len(langs) == 1:
         query_lang = langs[0]
     # a per_lang index analyzes the query with the stopword chain its
@@ -362,6 +363,19 @@ def search_scattered(index_dir: str, query: str, k: int = 10,
     plan = _query_plan(reader, query, k, time_range, langs, authz,
                        query_lang, prune)
     return _scatter(reader, plan, straggler_timeout_s, _inject_delay)
+
+
+def _refuse_dropped_fields(reader: IndexReader, query: str) -> None:
+    """A field ``add_field`` attached is dropped by the next commit that
+    rebuilds partitions (``meta["dropped_fields"]``); the query would
+    otherwise parse ``name:value`` as text and quietly match nothing."""
+    dropped = reader.meta.get("dropped_fields")
+    named = field_names(query) & set(dropped) if dropped else None
+    if named:
+        raise ValueError(
+            f"field(s) {sorted(named)} of the index at {reader.index_dir!r} "
+            f"were dropped when its partitions were rebuilt; re-run "
+            f"add_field to restore them")
 
 
 def _require_stored_text(reader: IndexReader, op: str) -> None:

@@ -2,7 +2,7 @@
 
 Pins the properties the driver-parity test (test_entry_oracle) cannot:
 the LOCAL and DISTRIBUTED connected-components tiers return identical
-clusters, clusters are consistent with the pair graph they came from,
+clusters for every cluster entry, clusters are consistent with the pair graph they came from,
 keep-one survivors are exactly corpus − non-canonical members, and the
 repetition/top-ngram kernels handle degenerate docs.
 """
@@ -16,8 +16,7 @@ import pytest
 
 from miru_ray.pipelines import dedup
 from miru_ray.pipelines.dedup import (_CL_CACHE, _cc_local, dedup_clusters,
-                                      dedup_keep_one,
-                                      ngram_jaccard_prefix)
+                                      dedup_keep_one, ngram_jaccard_pairs)
 from miru_ray.pipelines.textstats import repetition_scores, top_ngrams
 
 SF = "/root/testdata/sf0.01"
@@ -42,18 +41,31 @@ def test_cc_local_long_chain_converges():
     assert (lab == 0).all() and len(nodes) == n
 
 
-def test_distributed_tier_equals_local(ray_session):
+def _no_local_tier(a, b):
+    raise AssertionError("the local CC tier ran past the edge bound")
+
+
+@pytest.mark.parametrize("entry", ["dedup_clusters", "minhash_dedup_clusters",
+                                   "embedding_dedup_clusters"])
+def test_distributed_tier_equals_local(entry, monkeypatch, ray_session):
+    # every cluster entry goes through the one resolver: with the edge
+    # bound at 0 its distributed tier runs (the local solver must not)
+    # and the labels equal the local tier's
+    from miru_ray.pipelines import ann
+    fn = getattr(ann if entry.startswith("embedding") else dedup, entry)
     _CL_CACHE.clear()
-    local = dedup_clusters(SF).to_pandas()
+    local = fn(SF).to_pandas()
     _CL_CACHE.clear()
-    dist = dedup_clusters(SF, local_edge_bound=0).to_pandas()
+    monkeypatch.setattr(dedup, "_LOCAL_CC_EDGES", 0)
+    monkeypatch.setattr(dedup, "_cc_local", _no_local_tier)
+    dist = fn(SF).to_pandas()
     _CL_CACHE.clear()
     pd.testing.assert_frame_equal(local, dist)
     assert len(local) > 0          # the fixture corpus has near-dups
 
 
 def test_clusters_consistent_with_pairs(ray_session):
-    pairs = ngram_jaccard_prefix(SF).to_pandas()
+    pairs = ngram_jaccard_pairs(SF).to_pandas()
     cl = dedup_clusters(SF).to_pandas()
     lab = dict(zip(cl["doc_id"], cl["cluster_id"]))
     # every paired doc is clustered, both endpoints share a label
@@ -220,7 +232,8 @@ def test_cc_local_matches_bfs(edges):
     assert got == expect
 
 
-def test_distributed_cc_multi_round_chain(tmp_path, ray_session):
+def test_distributed_cc_multi_round_chain(tmp_path, monkeypatch,
+                                          ray_session):
     """A CHAIN of near-dups (adjacent Jaccard ≈0.88 ≥ t, distance-2
     ≈0.78 < t) — component diameter 5, so the distributed solver needs
     several propagation rounds, and the changed-count convergence must
@@ -237,12 +250,14 @@ def test_distributed_cc_multi_round_chain(tmp_path, ray_session):
         "doc_id": pa.array(list(range(6)), pa.int64()),
         "text": pa.array(docs, pa.string())}),
                    tmp_path / "documents.parquet")
-    pairs = ngram_jaccard_prefix(str(tmp_path)).to_pandas()
+    pairs = ngram_jaccard_pairs(str(tmp_path)).to_pandas()
     # sanity: the pair graph is exactly the 5-edge chain
     assert (sorted(zip(pairs["doc_a"], pairs["doc_b"]))
             == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     _CL_CACHE.clear()
-    dist = dedup_clusters(str(tmp_path), local_edge_bound=0).to_pandas()
+    monkeypatch.setattr(dedup, "_LOCAL_CC_EDGES", 0)
+    monkeypatch.setattr(dedup, "_cc_local", _no_local_tier)
+    dist = dedup_clusters(str(tmp_path)).to_pandas()
     _CL_CACHE.clear()
     assert list(dist["doc_id"]) == [0, 1, 2, 3, 4, 5]
     assert set(dist["cluster_id"]) == {0}       # one component, min label

@@ -275,10 +275,10 @@ def test_hll_within_error_bound_of_exact(ray_session):
 
 
 def test_ngram_jaccard_exact_equals_bruteforce(ray_session):
-    """The inverted-index exact tier must equal brute-force all-pairs
-    EXACTLY (no recall caveat — every pair sharing a shingle is
-    generated), and at a LOW threshold where LSH banding would be
-    allowed to miss pairs, it must still be exhaustive."""
+    """The exact n-gram engine must equal brute-force all-pairs EXACTLY
+    (no recall caveat — the prefix filter generates every pair at or
+    above the threshold), and at a LOW threshold where LSH banding would
+    be allowed to miss pairs, it must still be exhaustive."""
     from miru_ray.pipelines.dedup import (jaccard, ngram_jaccard_pairs,
                                           shingle_set)
     got = ngram_jaccard_pairs(SF, threshold=0.2).to_pandas()

@@ -75,8 +75,8 @@ def test_bloom_probe_no_cross_product(ray_session):
 
 
 def test_ngram_jaccard_single_scan_matches(ray_session):
-    # shingle rows computed once; counts derived from them — result must
-    # stay identical to the SQL oracle shape used by the driver entry
+    # the collected pairs keep the SQL oracle's shape: doc_a < doc_b,
+    # threshold survivors only
     import duckdb
 
     from miru_ray.pipelines.dedup import ngram_jaccard_pairs
@@ -150,15 +150,24 @@ def test_value_quantiles_dup_null_and_custom_qs(tmp_path, ray_session,
     assert list(got2.columns) == ["event_type", "p25", "p50"]
 
 
-def test_ngram_prefix_equals_full_and_boundary(tmp_path, ray_session):
+def test_ngram_pairs_boundary_and_oracle(tmp_path, ray_session):
     # the prefix filter must be lossless INCLUDING a pair at exactly
-    # J = t: A = 4 shingles, B = 5 shingles sharing 4 -> J = 4/5 = 0.8
+    # J = t: A = 4 shingles, B = 5 shingles sharing 4 -> J = 4/5 = 0.8;
+    # on the real fixture the engine equals the all-pairs SQL oracle
     import os
 
+    import duckdb
     import pyarrow.parquet as pq
 
-    from miru_ray.pipelines.dedup import (ngram_jaccard_pairs,
-                                          ngram_jaccard_prefix)
+    import __ray_entry__ as E
+    from miru_ray.pipelines.dedup import ngram_jaccard_pairs
+
+    def oracle(sf: str) -> pd.DataFrame:
+        con = duckdb.connect()
+        con.sql(f"CREATE VIEW documents AS SELECT * FROM "
+                f"'{sf}/documents.parquet'")
+        return con.sql(E._ngram_jaccard_sql()).df()
+
     d = str(tmp_path)
     a = "alpha beta gamma delta epsilon zeta"           # 6 toks, 4 shingles
     b = a + " eta"                                      # 7 toks, 5 shingles
@@ -166,15 +175,15 @@ def test_ngram_prefix_equals_full_and_boundary(tmp_path, ray_session):
         "doc_id": pa.array([1, 2, 3], pa.int64()),
         "text": [a, b, "totally unrelated words here now"],
     }), os.path.join(d, "documents.parquet"))
-    full = ngram_jaccard_pairs(d).to_pandas()
-    pref = ngram_jaccard_prefix(d).to_pandas()
-    pd.testing.assert_frame_equal(full, pref)
-    assert full["doc_a"].tolist() == [1] and full["doc_b"].tolist() == [2]
-    assert full["jaccard"].tolist() == [0.8]
-    # and on the real fixture
+    got = ngram_jaccard_pairs(d).to_pandas()
+    assert got["doc_a"].tolist() == [1] and got["doc_b"].tolist() == [2]
+    assert got["jaccard"].tolist() == [0.8]
+    pd.testing.assert_frame_equal(got, oracle(d), check_dtype=False)
     sf = "/root/testdata/sf0.001"
-    pd.testing.assert_frame_equal(ngram_jaccard_pairs(sf).to_pandas(),
-                                  ngram_jaccard_prefix(sf).to_pandas())
+    want = oracle(sf)
+    assert len(want) > 0
+    pd.testing.assert_frame_equal(ngram_jaccard_pairs(sf).to_pandas(), want,
+                                  check_dtype=False, check_exact=True)
 
 
 def test_third_review_edge_cases(tmp_path, ray_session):

@@ -124,3 +124,36 @@ def test_add_field_guards(evolved):
     with pytest.raises(ValueError, match="stored"):
         add_field(evolved["idx"], evolved["pages"],
                   FieldDef("lang2", "keyword", stored=True))
+
+
+def test_dropped_field_fails_loudly_until_re_added(tmp_path, ray_session):
+    """A sip that rebuilds partitions drops an additive field from the
+    meta. A query naming it must raise, not parse ``site:…`` as text and
+    quietly match nothing, until add_field re-derives the field."""
+    from miru_ray.pipelines.search import search_scattered
+    from miru_ray.sources.fixtures import pages_table
+    pages = pages_table(200)
+    d = str(tmp_path / "idx")
+    cfg = BuildConfig(num_parts=4, num_shards=2)
+    build_index(pages.slice(0, 160), d, cfg)
+    site = pa.array([u.split("/")[2] for u in pages["url"].to_pylist()])
+    src = pages.select(["url", "warc_ts"]).append_column("site", site)
+    add_field(d, src.slice(0, 160), FieldDef("site", "keyword"))
+    host = site[0].as_py()
+    query = f"site:{host}"
+    before = search(IndexReader(d), query, k=20)
+    assert before.num_rows > 0
+    build_index(pages, d, BuildConfig(num_parts=4, num_shards=2,
+                                      verify_inputs=True))   # sip 40 rows
+    assert IndexReader(d).meta["dropped_fields"] == ["site"]
+    for q in (query, f'needle7 -site:"{host}"'):
+        with pytest.raises(ValueError, match="site.*add_field"):
+            search(IndexReader(d), q, k=20)
+    with pytest.raises(ValueError, match="site.*add_field"):
+        search_scattered(d, query, k=20)
+    # field syntax inside a quoted phrase body is text, not a field
+    search(IndexReader(d), f'"needle7 site:{host}"', k=5)
+    add_field(d, src, FieldDef("site", "keyword"))
+    r = IndexReader(d)
+    assert "dropped_fields" not in r.meta
+    assert search(r, query, k=20).num_rows >= before.num_rows

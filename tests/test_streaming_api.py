@@ -131,11 +131,13 @@ def test_keep_one_ds_is_fully_lazy_and_matches(ray_session, tmp_path):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
-def test_minhash_verify_plans_are_value_identical(ray_session):
+def test_minhash_verify_plans_are_value_identical(monkeypatch, ray_session):
     """The two exact-Jaccard verify plans — 'gather' (PairVerifier actor
     pool, parquet-pushdown text gather) and 'join' (single corpus scan +
     shingle-set keyed exchanges, the high-dup-density plan) — yield the
-    same verified pair set at the same threshold."""
+    same verified pair set at the same threshold. The fixture's
+    candidate count is under the cutover, so the default run gathers;
+    a cutover of 0 forces the join."""
     from miru_ray.pipelines import dedup
     cols = ["doc_a", "doc_b", "jaccard"]
 
@@ -143,18 +145,27 @@ def test_minhash_verify_plans_are_value_identical(ray_session):
         return (ds.to_pandas()[cols].sort_values(["doc_a", "doc_b"])
                 .reset_index(drop=True))
 
-    gather = norm(dedup.minhash_near_dups_ds(SF, 0.8, verify="gather"))
-    join = norm(dedup.minhash_near_dups_ds(SF, 0.8, verify="join"))
+    calls = []
+    real_join = dedup._verify_pairs_join
+    monkeypatch.setattr(dedup, "_verify_pairs_join",
+                        lambda *a: calls.append(1) or real_join(*a))
+    gather = norm(dedup.minhash_near_dups_ds(SF, 0.8))
+    assert calls == []
+    monkeypatch.setattr(dedup, "_VERIFY_JOIN_MIN_PAIRS", 0)
+    join = norm(dedup.minhash_near_dups_ds(SF, 0.8))
+    assert calls == [1]
     assert len(gather) > 0
     pd.testing.assert_frame_equal(join, gather, check_dtype=False)
 
 
-def test_minhash_clusters_lazy_tier_matches_exact(ray_session):
-    """minhash_dedup_clusters' lazy tier decision: forcing the bound to 0
-    routes the SAME materialized pair Dataset through the distributed CC
-    solver (no driver collect, no from_arrow) and the labels match the
-    local tier exactly."""
+def test_ngram_pairs_ds_deduped_equals_collected(ray_session):
+    """The exact n-gram Dataset may repeat a pair (one copy per shared
+    prefix bucket); deduplicated, it is exactly the collected table."""
     from miru_ray.pipelines import dedup
-    local = dedup.minhash_dedup_clusters(SF, 0.8)
-    dist = dedup.minhash_dedup_clusters(SF, 0.8, local_edge_bound=0)
-    pd.testing.assert_frame_equal(dist.to_pandas(), local.to_pandas())
+    got = (dedup.ngram_jaccard_pairs_ds(SF, 0.8).to_pandas()
+           .drop_duplicates(["doc_a", "doc_b"])
+           .sort_values(["doc_a", "doc_b"]).reset_index(drop=True))
+    want = dedup.ngram_jaccard_pairs(SF, 0.8).to_pandas()
+    assert len(want) > 0
+    pd.testing.assert_frame_equal(got[want.columns.tolist()], want,
+                                  check_dtype=False)

@@ -2,6 +2,7 @@ import sys, time
 """Driver-simulation harness: run every __ray_entry__.queries() entry and
 compare against its oracle_sql() via DuckDB (exact values). Usage:
     python tools/check_oracle.py [SF_DIR] [entry ...]
+Exits 1 when any entry errors or differs from its oracle.
 """
 import os
 import duckdb, numpy as np, pandas as pd
@@ -56,3 +57,4 @@ for name in only:
         print("    orcl:", b.head(3).to_dict("records"))
 print("FAILS:", fails)
 ray.shutdown()
+sys.exit(1 if fails else 0)
