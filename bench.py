@@ -95,9 +95,8 @@ def headline(num_cpus: int) -> dict:
     for _rep in range(reps):
         shutil.rmtree(idx, ignore_errors=True)
         t0 = time.perf_counter()
-        meta = build_index(pages, idx, BuildConfig(
-            num_parts=64, num_shards=32,
-            extract_concurrency=num_cpus))
+        meta = build_index(pages, idx, BuildConfig(num_parts=64,
+                                                   num_shards=32))
         builds.append(round(time.perf_counter() - t0, 3))
     build_s = builds[-1]
 

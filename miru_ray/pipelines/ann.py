@@ -312,52 +312,35 @@ def _nd_lsh_band_rows(batch: pa.Table, *, num_pair_parts: int) -> pa.Table:
     })
 
 
-class VecPairVerifier:
-    """Actor-pool exact-cosine verify for candidate vector pairs —
-    normalized vectors gathered per batch with parquet predicate pushdown
-    and cached per actor (the embedding twin of dedup.PairVerifier)."""
-
-    _CACHE_MAX = 262144
-
-    def __init__(self, src: str, threshold: float):
-        self.src = src
-        self.threshold = threshold
-        self._cache: dict[int, np.ndarray] = {}
-
-    def _vectors_for(self, need: np.ndarray) -> None:
-        need_set = set(need.tolist())
-        missing = sorted(d for d in need_set if d not in self._cache)
-        if not missing:
-            return
-        if len(self._cache) + len(missing) > self._CACHE_MAX:
-            self._cache = {d: v for d, v in self._cache.items()
-                           if d in need_set}
-        t = pq.read_table(self.src, columns=["vec_id", "embedding"],
-                          filters=pads.field("vec_id").isin(missing))
-        ids, mat = _embedding_matrix(t)
-        nrm = np.linalg.norm(mat, axis=1)
-        nrm[nrm == 0] = 1.0
-        mat = mat / nrm[:, None]
-        for i, d in enumerate(ids):
-            self._cache[int(d)] = mat[i]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from miru_ray.functions.runtime import limit_worker_threads
-        limit_worker_threads()
-        a = batch["doc_a"].to_numpy()
-        b = batch["doc_b"].to_numpy()
-        if not len(a):
-            return pa.table({"vec_a": pa.array([], pa.int64()),
-                             "vec_b": pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
-        self._vectors_for(np.unique(np.concatenate([a, b])))
-        va = np.stack([self._cache[int(x)] for x in a])
-        vb = np.stack([self._cache[int(x)] for x in b])
-        sims = np.einsum("ij,ij->i", va, vb)
-        keep = sims >= self.threshold
-        return pa.table({"vec_a": pa.array(a[keep], pa.int64()),
-                         "vec_b": pa.array(b[keep], pa.int64()),
-                         "sim": pa.array(sims[keep], pa.float64())})
+def _verify_vec_pairs(batch: pa.Table, *, src: str,
+                      threshold: float) -> pa.Table:
+    """Exact-cosine verify of one batch of candidate vector pairs — a
+    stateless ``map_batches`` task that reads only its batch's vectors
+    from ``src`` with parquet predicate pushdown and normalizes them
+    (the embedding twin of dedup._verify_gather)."""
+    from miru_ray.functions.runtime import limit_worker_threads
+    limit_worker_threads()
+    a = batch["doc_a"].to_numpy()
+    b = batch["doc_b"].to_numpy()
+    if not len(a):
+        return pa.table({"vec_a": pa.array([], pa.int64()),
+                         "vec_b": pa.array([], pa.int64()),
+                         "sim": pa.array([], pa.float64())})
+    need = np.unique(np.concatenate([a, b]))
+    t = pq.read_table(src, columns=["vec_id", "embedding"],
+                      filters=pads.field("vec_id").isin(need.tolist()))
+    ids, mat = _embedding_matrix(t)
+    nrm = np.linalg.norm(mat, axis=1)
+    nrm[nrm == 0] = 1.0
+    mat = mat / nrm[:, None]
+    row = {int(d): i for i, d in enumerate(ids)}
+    va = mat[[row[int(x)] for x in a]]
+    vb = mat[[row[int(x)] for x in b]]
+    sims = np.einsum("ij,ij->i", va, vb)
+    keep = sims >= threshold
+    return pa.table({"vec_a": pa.array(a[keep], pa.int64()),
+                     "vec_b": pa.array(b[keep], pa.int64()),
+                     "sim": pa.array(sims[keep], pa.float64())})
 
 
 def embedding_near_dups_lsh_ds(sf_dir: str, threshold: float = EMBED_NEAR_DUP_THRESHOLD):
@@ -380,9 +363,8 @@ def embedding_near_dups_lsh_ds(sf_dir: str, threshold: float = EMBED_NEAR_DUP_TH
                .groupby("bpart")
                .map_groups(_pairs_many, batch_format="pandas"))
     return _pair_dedup_exchange(cands).map_batches(
-        VecPairVerifier, batch_format="pyarrow",
-        batch_size=8192, concurrency=(1, 8),
-        fn_constructor_kwargs={"src": src, "threshold": threshold})
+        functools.partial(_verify_vec_pairs, src=src, threshold=threshold),
+        batch_format="pyarrow", batch_size=8192)
 
 
 def embedding_near_dups_lsh(sf_dir: str, threshold: float = EMBED_NEAR_DUP_THRESHOLD) -> pa.Table:

@@ -5,7 +5,7 @@ Reference lifecycle being re-expressed: WAL → rebuild → online partition
 stream/MiruIndexer.java:47-120), restructured per SURVEY.md §7.1:
 
     read_parquet (pruned)                                  [WAL read]
-      → map_batches(extract)  (stateless; actor pool opt.) [A extract]
+      → map_batches(extract_batch)  (stateless tasks)      [A extract]
       → map_batches(stamp part = hash(url) % P)            [B partition key]
       → repartition (coalesce oversplit blocks)
       → groupby("part").map_groups(build_partition)        [B,C,E dedup+ids+invert]
@@ -42,8 +42,7 @@ import ray.data as rd
 
 from miru_ray.functions.extract import EXTRACTOR_VERSION
 from miru_ray.functions.hashing import part_for
-from miru_ray.stages.extract import (EXTRACT_BATCH_SIZE, HtmlExtractor,
-                                     extract_batch)
+from miru_ray.stages.extract import EXTRACT_BATCH_SIZE, extract_batch
 from miru_ray.stages.merge import merge_shard
 from miru_ray.stages.partition_build import build_partition
 from miru_ray.state import layout
@@ -198,14 +197,10 @@ class BuildConfig:
     num_shards: int = 8          # S — term shards for the segment layout
     k1: float = 1.2              # BM25 defaults recorded in meta for the query side
     b: float = 0.75
-    extract_concurrency: int = 4
     langs: list[str] | None = None   # optional lang pushdown filter
     store_text: bool = False         # stored-field feature (activity index):
                                      # keep text in docs.parquet for gather/
                                      # highlight (MiruActivityIndex role)
-    extract_actors: bool = False     # actor-pool extract (use when the
-                                     # extractor has expensive init; the
-                                     # default regex extractor does not)
     analyzer: str = "simple"         # primary-field analyzer chain:
                                      # "simple" = the one [a-z0-9]+
                                      # tokenizer; "per_lang" = + per-doc
@@ -367,15 +362,8 @@ def build_index(source, index_dir: str, cfg: BuildConfig | None = None) -> dict:
 
     # --- [A] extract ---
     if has_html:
-        if cfg.extract_actors:
-            # autoscaling pool (1..N): for extractors with heavy init;
-            # degrades gracefully when CPUs < N
-            ds = ds.map_batches(HtmlExtractor, batch_format="pyarrow",
-                                batch_size=EXTRACT_BATCH_SIZE,
-                                concurrency=(1, cfg.extract_concurrency))
-        else:
-            ds = ds.map_batches(extract_batch, batch_format="pyarrow",
-                                batch_size=EXTRACT_BATCH_SIZE)
+        ds = ds.map_batches(extract_batch, batch_format="pyarrow",
+                            batch_size=EXTRACT_BATCH_SIZE)
 
     # --- [B] partition key ---
     part_fn = None

@@ -14,7 +14,7 @@
   directly).
 - n-gram Jaccard — the ONE exact engine: PPJoin prefix filter over
   shingle postings → the same bucketed pair expansion as the LSH tier
-  → the same exact-Jaccard verify actor pool. Lossless at J ≥ t, so it
+  → the same exact-Jaccard verify task. Lossless at J ≥ t, so it
   takes a value-exact SQL oracle.
 - clusters   — ONE connected-components resolver for every pair graph
   (n-gram, MinHash, embedding): a local pointer-jumping solve under an
@@ -34,7 +34,9 @@ Jaccard over the string shingle sets modulo 64-bit collisions
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import os
 
 import numpy as np
 import pandas as pd
@@ -218,91 +220,77 @@ def _pairs_many(group: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"doc_a": da[keep], "doc_b": db[keep]})
 
 
-class PairVerifier:
-    """Actor-pool verify stage: a batch of candidate pairs in, the pairs
-    with exact shingle-Jaccard ≥ threshold out. Texts are fetched with
-    parquet predicate pushdown PER BATCH and shingle sets cached per actor
-    — the driver never sees unverified pairs or candidate texts
-    (VERDICT r1 "What's wrong" #1)."""
+_PAIRS_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                           ("jaccard", pa.float64())])
 
-    _CACHE_MAX = 65536   # bound per-actor memory on boilerplate-heavy data
 
-    def __init__(self, src: str, threshold: float):
-        self.src = src
-        self.threshold = threshold
-        self._cache: dict[int, np.ndarray] = {}
-
-    def _shingles_for(self, need: list[int]) -> None:
-        import pyarrow.dataset as pads
-        import pyarrow.parquet as pq
-        need_set = set(need)
-        missing = sorted(d for d in need_set if d not in self._cache)
-        if not missing:
-            return
-        if len(self._cache) + len(missing) > self._CACHE_MAX:
-            # evict only entries the CURRENT batch does not need — clearing
-            # everything would drop shingles this batch still reads
-            self._cache = {d: v for d, v in self._cache.items()
-                           if d in need_set}
-        tbl = pq.read_table(self.src, columns=["doc_id", "text"],
-                            filters=pads.field("doc_id").isin(missing))
-        sig_docs, sig_hashes = _shingles_from_flat_texts(tbl["text"])
-        ids = tbl["doc_id"].to_numpy()
-        for i, d in enumerate(ids):
-            sel = sig_docs == i
-            self._cache[int(d)] = sig_hashes[sel]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from miru_ray.functions.runtime import limit_worker_threads
-        limit_worker_threads()
-        doc_a = batch["doc_a"].to_numpy()
-        doc_b = batch["doc_b"].to_numpy()
-        self._shingles_for(np.unique(np.concatenate([doc_a, doc_b])).tolist())
-        if len(doc_a) == 0:
-            return pa.table({"doc_a": pa.array([], pa.int64()),
-                             "doc_b": pa.array([], pa.int64()),
-                             "jaccard": pa.array([], pa.float64())})
-        # vectorized exact Jaccard: group pairs by doc_a, then ONE
-        # searchsorted of the concatenated b-side shingles into a's sorted
-        # set + a reduceat per-segment sum — the loop runs per DISTINCT
-        # doc_a, not per pair (cache entries are sorted-unique arrays, so
-        # membership = searchsorted + equality probe)
-        order = np.argsort(doc_a, kind="stable")
-        da, db = doc_a[order], doc_b[order]
-        la = np.fromiter((len(self._cache[int(d)]) for d in da),
-                         dtype=np.int64, count=len(da))
-        lb = np.fromiter((len(self._cache[int(d)]) for d in db),
-                         dtype=np.int64, count=len(db))
-        inter = np.zeros(len(da), dtype=np.int64)
-        change = np.flatnonzero(da[1:] != da[:-1]) + 1
-        starts = np.concatenate([[0], change])
-        ends = np.concatenate([change, [len(da)]])
-        for s, e in zip(starts, ends):
-            a_set = self._cache[int(da[s])]
-            seg_lens = lb[s:e]
-            if len(a_set) == 0 or not seg_lens.any():
-                continue
-            cat = np.concatenate([self._cache[int(d)] for d in db[s:e]])
-            idx = np.searchsorted(a_set, cat)
-            np.minimum(idx, len(a_set) - 1, out=idx)
-            hit = (a_set[idx] == cat).astype(np.int64)
-            nz = seg_lens > 0
-            # reduceat over the starts of NON-EMPTY segments only (empty
-            # segments would repeat a bound, making reduceat misread the
-            # next segment's first element); trailing zero-segments fold
-            # into the preceding span, which is harmless — they add 0 rows
-            starts_all = np.concatenate([[0], np.cumsum(seg_lens[:-1])])
-            nz_idx = np.flatnonzero(nz)
-            vals = np.add.reduceat(hit, starts_all[nz_idx])
-            seg_inter = np.zeros(len(seg_lens), dtype=np.int64)
-            seg_inter[nz_idx] = vals
-            inter[s:e] = seg_inter
-        union = la + lb - inter
-        j = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
-        keep = j >= self.threshold
-        return pa.table({"doc_a": pa.array(da[keep], pa.int64()),
-                         "doc_b": pa.array(db[keep], pa.int64()),
-                         "jaccard": pa.array(np.round(j[keep], 6), pa.float64())})
+def _verify_gather(batch: pa.Table, *, src: str,
+                   threshold: float) -> pa.Table:
+    """Exact-Jaccard verify of one batch of candidate (doc_a, doc_b)
+    pairs: the pairs with shingle-Jaccard ≥ threshold out. A stateless
+    ``map_batches`` task — it reads only its batch's texts from ``src``
+    with parquet predicate pushdown (only the row groups the pairs
+    need), so the driver never sees unverified pairs or candidate texts
+    (VERDICT r1 "What's wrong" #1). Bind ``src``/``threshold`` with
+    ``functools.partial``."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+    from miru_ray.functions.runtime import limit_worker_threads
+    limit_worker_threads()
+    doc_a = batch["doc_a"].to_numpy()
+    doc_b = batch["doc_b"].to_numpy()
+    if len(doc_a) == 0:
+        return _PAIRS_SCHEMA.empty_table()
+    need = np.unique(np.concatenate([doc_a, doc_b]))
+    tbl = pq.read_table(src, columns=["doc_id", "text"],
+                        filters=pads.field("doc_id").isin(need.tolist()))
+    sig_docs, sig_hashes = _shingles_from_flat_texts(tbl["text"])
+    # shingles come grouped by batch row in row order: one searchsorted
+    # gives every row's span
+    bounds = np.searchsorted(sig_docs, np.arange(tbl.num_rows + 1))
+    sets = {int(d): sig_hashes[bounds[i]:bounds[i + 1]]
+            for i, d in enumerate(tbl["doc_id"].to_numpy())}
+    # vectorized exact Jaccard: group pairs by doc_a, then ONE
+    # searchsorted of the concatenated b-side shingles into a's sorted
+    # set + a reduceat per-segment sum — the loop runs per DISTINCT
+    # doc_a, not per pair (shingle sets are sorted-unique arrays, so
+    # membership = searchsorted + equality probe)
+    order = np.argsort(doc_a, kind="stable")
+    da, db = doc_a[order], doc_b[order]
+    la = np.fromiter((len(sets[int(d)]) for d in da),
+                     dtype=np.int64, count=len(da))
+    lb = np.fromiter((len(sets[int(d)]) for d in db),
+                     dtype=np.int64, count=len(db))
+    inter = np.zeros(len(da), dtype=np.int64)
+    change = np.flatnonzero(da[1:] != da[:-1]) + 1
+    starts = np.concatenate([[0], change])
+    ends = np.concatenate([change, [len(da)]])
+    for s, e in zip(starts, ends):
+        a_set = sets[int(da[s])]
+        seg_lens = lb[s:e]
+        if len(a_set) == 0 or not seg_lens.any():
+            continue
+        cat = np.concatenate([sets[int(d)] for d in db[s:e]])
+        idx = np.searchsorted(a_set, cat)
+        np.minimum(idx, len(a_set) - 1, out=idx)
+        hit = (a_set[idx] == cat).astype(np.int64)
+        nz = seg_lens > 0
+        # reduceat over the starts of NON-EMPTY segments only (empty
+        # segments would repeat a bound, making reduceat misread the
+        # next segment's first element); trailing zero-segments fold
+        # into the preceding span, which is harmless — they add 0 rows
+        starts_all = np.concatenate([[0], np.cumsum(seg_lens[:-1])])
+        nz_idx = np.flatnonzero(nz)
+        vals = np.add.reduceat(hit, starts_all[nz_idx])
+        seg_inter = np.zeros(len(seg_lens), dtype=np.int64)
+        seg_inter[nz_idx] = vals
+        inter[s:e] = seg_inter
+    union = la + lb - inter
+    j = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
+    keep = j >= threshold
+    return pa.table({"doc_a": pa.array(da[keep], pa.int64()),
+                     "doc_b": pa.array(db[keep], pa.int64()),
+                     "jaccard": pa.array(np.round(j[keep], 6), pa.float64())})
 
 
 def dedup_exact(sf_dir: str) -> pa.Table:
@@ -370,9 +358,9 @@ def _shingle_bytes_for(texts) -> list[bytes]:
 def _verify_pairs_join(sf_dir: str, pairs, threshold: float,
                        nparts: int = _NJ_PARTS):
     """Distributed shingle-set JOIN verify — the HIGH-DENSITY plan: the
-    pushdown-gather verifier (PairVerifier) re-reads corpus row groups
-    once per batch, which at boilerplate-heavy dup density degenerates
-    into O(n_batches) partial corpus scans (measured: 279 s of a 306 s
+    pushdown-gather verifier (:func:`_verify_gather`) re-reads corpus row
+    groups once per batch, which at boilerplate-heavy dup density
+    degenerates into O(n_batches) partial corpus scans (measured: 279 s of a 306 s
     1M-doc pair phase). This plan instead reads the corpus ONCE:
 
       1. distinct pair endpoints semi-join the (doc_id, text) scan in a
@@ -383,8 +371,8 @@ def _verify_pairs_join(sf_dir: str, pairs, threshold: float,
          and the final bucket merge computes exact Jaccard + the
          ≥ threshold filter in place.
 
-    Same exact result as PairVerifier (pytest-pinned); total movement
-    is O(pairs × shingle-set bytes) through bounded exchanges."""
+    Same exact result as :func:`_verify_gather` (pytest-pinned); total
+    movement is O(pairs × shingle-set bytes) through bounded exchanges."""
 
     def endpoints(t: pa.Table) -> pa.Table:
         ids = np.unique(np.concatenate([t["doc_a"].to_numpy(),
@@ -490,25 +478,9 @@ def _verify_pairs_join(sf_dir: str, pairs, threshold: float,
 
 
 # pair-count cutover to the join verify: below it the pushdown-gather
-# actor pool touches few row groups and wins; above it the single-scan
+# tasks touch few row groups and win; above it the single-scan
 # join wins (the gather plan's reads grow with pair batches).
 _VERIFY_JOIN_MIN_PAIRS = 65536
-
-
-def _verify_gather(pairs, sf_dir: str, threshold: float):
-    """Exact-Jaccard verify of a (doc_a, doc_b) candidate Dataset by the
-    PairVerifier actor pool — pushdown text gather, so only the row
-    groups the pairs need are read."""
-    import os
-    return pairs.map_batches(
-        PairVerifier, batch_format="pyarrow",
-        batch_size=4096, concurrency=(1, 8),
-        fn_constructor_kwargs={"src": os.path.join(sf_dir, "documents.parquet"),
-                               "threshold": threshold})
-
-
-_PAIRS_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
-                           ("jaccard", pa.float64())])
 
 
 def _pair_table(got: pd.DataFrame) -> pa.Table:
@@ -532,16 +504,15 @@ def minhash_near_dups_ds(sf_dir: str, threshold: float = 0.8):
     is folded to one row BEFORE verification) → exact-Jaccard verify.
 
     The verify plan follows the deduped candidate count: under
-    ``_VERIFY_JOIN_MIN_PAIRS`` the PairVerifier actor pool with pushdown
-    text gather (sparse-dup corpora — touches only the row groups the
-    pairs need); at or past it the single-corpus-scan shingle-set join
-    (:func:`_verify_pairs_join` — boilerplate-heavy corpora, where
-    per-batch gathers degenerate into repeated corpus scans; measured
-    279 s → ~30 s on the 1M-doc/4.45M-pair fixture). Both plans are
-    value-identical (pytest-pinned). Consumers write, aggregate, or
-    feed the result straight into the distributed CC solver
-    (minhash_dedup_clusters)."""
-    import functools
+    ``_VERIFY_JOIN_MIN_PAIRS`` the :func:`_verify_gather` tasks with
+    pushdown text gather (sparse-dup corpora — touches only the row
+    groups the pairs need); at or past it the single-corpus-scan
+    shingle-set join (:func:`_verify_pairs_join` — boilerplate-heavy
+    corpora, where per-batch gathers degenerate into repeated corpus
+    scans; measured 279 s → ~30 s on the 1M-doc/4.45M-pair fixture).
+    Both plans are value-identical (pytest-pinned). Consumers write,
+    aggregate, or feed the result straight into the distributed CC
+    solver (minhash_dedup_clusters)."""
     import ray as _ray
     ncpu = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
     num_pair_parts = max(2 * ncpu, 16)
@@ -557,7 +528,10 @@ def minhash_near_dups_ds(sf_dir: str, threshold: float = 0.8):
     deduped = _pair_dedup_exchange(cands).materialize()
     if deduped.count() >= _VERIFY_JOIN_MIN_PAIRS:
         return _verify_pairs_join(sf_dir, deduped, threshold)
-    return _verify_gather(deduped, sf_dir, threshold)
+    return deduped.map_batches(
+        functools.partial(_verify_gather, threshold=threshold,
+                          src=os.path.join(sf_dir, "documents.parquet")),
+        batch_format="pyarrow", batch_size=4096)
 
 
 def minhash_near_dups(sf_dir: str, threshold: float = 0.8) -> pa.Table:
@@ -674,26 +648,29 @@ def ngram_jaccard_pairs_ds(sf_dir: str, threshold: float = 0.8):
 
     ONE exchange: prefix postings bucket on shingle → the LSH tier's
     pair expansion (:func:`_pairs_many`) → the exact-Jaccard verify
-    actor pool, so the Dataset yields only threshold survivors. A pair
-    sharing prefix shingles in several buckets is verified and yielded
-    once per bucket — the Dataset MAY REPEAT A PAIR. Collectors dedupe
-    (:func:`_pair_table`) and the CC solver is indifferent. No
-    pair-dedup exchange runs before the verifier: it would add a whole
-    all-to-all to save re-verifying repeats, which the per-actor shingle
-    cache makes cheap. Shingle identity is the 64-bit polynomial hash
-    (module header).
+    task (:func:`_verify_gather`), so the Dataset yields only threshold
+    survivors. ``_pairs_many`` folds a pair's repeats within one bucket
+    partition; a pair sharing prefix shingles in buckets of SEVERAL
+    partitions is verified and yielded once per partition — the Dataset
+    MAY REPEAT A PAIR. Collectors dedupe (:func:`_pair_table`) and the
+    CC solver is indifferent. No pair-dedup exchange runs before the
+    verifier: it would add a whole all-to-all to save re-verifying those
+    repeats. Shingle identity is the 64-bit polynomial hash (module
+    header).
 
     Reference: dedup is beyond the reference's operator set; nearest
     ancestor is the distinct-count path (MiruAggregateUtil.java).
     """
-    import functools
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     cands = (ds.map_batches(functools.partial(_nj_prefix_rows,
                                               threshold=threshold),
                             batch_format="pyarrow", batch_size=1024)
                .groupby("bpart").map_groups(_pairs_many,
                                             batch_format="pandas"))
-    return _verify_gather(cands, sf_dir, threshold)
+    return cands.map_batches(
+        functools.partial(_verify_gather, threshold=threshold,
+                          src=os.path.join(sf_dir, "documents.parquet")),
+        batch_format="pyarrow", batch_size=4096)
 
 
 _NJP_CACHE: dict[tuple, tuple[tuple, pa.Table]] = {}
@@ -709,7 +686,6 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.8) -> pa.Table:
     the clusters/keep-one consumers, so a sweep pays for ONE scan; the
     memo is a small LRU so a threshold sweep holds the newest few pair
     tables, not one per threshold forever (ADVICE r4 #3)."""
-    import os
     from miru_ray.state.layout import stat_validated_memo
     src = os.path.join(sf_dir, "documents.parquet")
     return stat_validated_memo(
@@ -953,8 +929,6 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.8) -> pa.Table:
     nearest ancestor is the distinct-value walk in
     MiruAggregateUtil.java (the same gather→resolve shape).
     """
-    import os
-
     import ray
     from miru_ray.state.layout import (stat_validated_memo,
                                        stat_validated_peek,

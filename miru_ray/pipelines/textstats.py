@@ -154,72 +154,65 @@ def doc_fingerprints(sf_dir: str) -> pa.Table:
 
 
 # character classes whose frequency ratios separate the fixture languages;
-# a deliberately simple, deterministic n-gram-free heuristic (the real
-# engine would hold a fastText-style model in an actor pool).
+# a deliberately simple, deterministic n-gram-free heuristic (a real
+# model, e.g. fastText, would be state worth an actor pool).
 _LANG_MARKERS: dict[str, tuple[str, ...]] = {
     "de": ("der", "die", "und", "ist", "nicht"),
     "fr": ("le", "la", "les", "est", "une"),
     "es": ("el", "los", "es", "una", "que"),
     "en": ("the", "is", "and", "of", "a"),
 }
+_LANGS = sorted(_LANG_MARKERS)
+_LANG_MARKER_ARRAYS = [np.array(sorted(_LANG_MARKERS[lang]), dtype=object)
+                       for lang in _LANGS]
 
 
-class LangId:
-    """Actor-pool language-ID stage: marker tables built once per actor
-    (the real engine would hold a fastText-style model here — same actor
-    shape). Semantics: over the first 200 tokens, score(lang) = #DISTINCT
-    marker words present; prediction = alphabetically-first lang with the
-    max score, or 'unknown' at score 0. Vectorized: one numpy membership
+def lang_id_batch(batch: pa.Table) -> pa.Table:
+    """Language-ID batch body: (doc_id, text) → (doc_id, lang_pred).
+    Semantics: over the first 200 tokens, score(lang) = #DISTINCT marker
+    words present; prediction = alphabetically-first lang with the max
+    score, or 'unknown' at score 0. Vectorized: one numpy membership
     pass per marker word over the batch's flattened tokens."""
-
-    def __init__(self) -> None:
-        self.langs = sorted(_LANG_MARKERS)
-        self.markers = {lang: np.array(sorted(_LANG_MARKERS[lang]),
-                                       dtype=object)
-                        for lang in self.langs}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from miru_ray.functions.tokenize import tokenize_column
-        if batch.num_rows == 0:
-            return pa.table({"doc_id": batch["doc_id"],
-                             "lang_pred": pa.array([], pa.string())})
-        tok_lists = tokenize_column(batch["text"])
-        offsets = tok_lists.offsets.to_numpy(zero_copy_only=False)
-        doclens = np.diff(offsets).astype(np.int64)
-        ndocs = len(doclens)
-        flat = tok_lists.flatten().to_numpy(zero_copy_only=False)
-        # first-200-tokens window per doc
-        starts = np.concatenate([[0], np.cumsum(doclens)[:-1]])
-        pos = np.arange(len(flat)) - np.repeat(starts, doclens)
-        window = pos < 200
-        flat_w = flat[window]
-        doc_of = np.repeat(np.arange(ndocs), doclens)[window]
-        wstarts = np.searchsorted(doc_of, np.arange(ndocs))
-        # reduceat needs in-bounds indices; docs with no windowed tokens get
-        # a clamped start and are masked out below
-        wstarts_c = np.minimum(wstarts, max(len(doc_of) - 1, 0))
-        nonempty = np.diff(np.concatenate([wstarts, [len(doc_of)]])) > 0
-        scores = np.zeros((ndocs, len(self.langs)), dtype=np.int64)
-        for li, lang in enumerate(self.langs):
-            for w in self.markers[lang]:
-                hit = (flat_w == w)
-                if hit.any():
-                    # distinct-word presence per doc (not occurrence count)
-                    present = (np.add.reduceat(hit, wstarts_c) > 0) & nonempty
-                    scores[:, li] += present
-        best_idx = np.argmax(scores, axis=1)   # first max = alphabetical tie-break
-        preds = np.array(self.langs, dtype=object)[best_idx]
-        preds[scores.max(axis=1) == 0] = "unknown"
+    if batch.num_rows == 0:
         return pa.table({"doc_id": batch["doc_id"],
-                         "lang_pred": pa.array(preds, pa.string())})
+                         "lang_pred": pa.array([], pa.string())})
+    tok_lists = tokenize_column(batch["text"])
+    offsets = tok_lists.offsets.to_numpy(zero_copy_only=False)
+    doclens = np.diff(offsets).astype(np.int64)
+    ndocs = len(doclens)
+    flat = tok_lists.flatten().to_numpy(zero_copy_only=False)
+    # first-200-tokens window per doc
+    starts = np.concatenate([[0], np.cumsum(doclens)[:-1]])
+    pos = np.arange(len(flat)) - np.repeat(starts, doclens)
+    window = pos < 200
+    flat_w = flat[window]
+    doc_of = np.repeat(np.arange(ndocs), doclens)[window]
+    wstarts = np.searchsorted(doc_of, np.arange(ndocs))
+    # reduceat needs in-bounds indices; docs with no windowed tokens get
+    # a clamped start and are masked out below
+    wstarts_c = np.minimum(wstarts, max(len(doc_of) - 1, 0))
+    nonempty = np.diff(np.concatenate([wstarts, [len(doc_of)]])) > 0
+    scores = np.zeros((ndocs, len(_LANGS)), dtype=np.int64)
+    for li, markers in enumerate(_LANG_MARKER_ARRAYS):
+        for w in markers:
+            hit = (flat_w == w)
+            if hit.any():
+                # distinct-word presence per doc (not occurrence count)
+                present = (np.add.reduceat(hit, wstarts_c) > 0) & nonempty
+                scores[:, li] += present
+    best_idx = np.argmax(scores, axis=1)   # first max = alphabetical tie-break
+    preds = np.array(_LANGS, dtype=object)[best_idx]
+    preds[scores.max(axis=1) == 0] = "unknown"
+    return pa.table({"doc_id": batch["doc_id"],
+                     "lang_pred": pa.array(preds, pa.string())})
 
 
 def lang_id_ds(sf_dir: str):
-    """Lazy Dataset of (doc_id, lang_pred) — heuristic language ID via
-    actor pool (marker tables built once per actor)."""
+    """Lazy Dataset of (doc_id, lang_pred) — heuristic language ID, one
+    stateless :func:`lang_id_batch` task per batch."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return ds.map_batches(LangId, batch_format="pyarrow", batch_size=1024,
-                          concurrency=(1, 2))
+    return ds.map_batches(lang_id_batch, batch_format="pyarrow",
+                          batch_size=1024)
 
 
 def lang_id(sf_dir: str) -> pa.Table:

@@ -2,12 +2,9 @@
 
 ``extract_batch`` is the ``map_batches`` body: it runs the column kernel
 ``functions.extract.extract_column`` over one Arrow batch and drops the
-heavy ``html`` column straight after (SURVEY.md §7.5 "Wide docs").
-``HtmlExtractor`` wraps it in the actor-pool shape the north rule names,
-``pages.map_batches(HtmlExtractor, concurrency=N, ...)``, after the
-reference's load-once-score-many pattern
-(miru-stream-plugins/.../strut/StrutModelScorer.java — model in ctor, work
-per call).
+heavy ``html`` column straight after (SURVEY.md §7.5 "Wide docs"). It is
+stateless — the kernel holds no model or tables worth an actor's
+start-up — so the build runs it as plain tasks (SURVEY.md §7.3).
 
 Batches stay small (html can be MBs/row); output schema is the pages
 schema minus ``html``.
@@ -17,11 +14,11 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from miru_ray.functions.extract import extract_column, extract_text
+from miru_ray.functions.extract import extract_column
 
-__all__ = ["HtmlExtractor", "EXTRACT_BATCH_SIZE"]
+__all__ = ["extract_batch", "EXTRACT_BATCH_SIZE"]
 
-# html rows are KB–MB; keep batches modest so batch × concurrency fits heap.
+# html rows are KB–MB; keep batches modest so batch × tasks fits heap.
 EXTRACT_BATCH_SIZE = 256
 
 
@@ -37,21 +34,3 @@ def extract_batch(batch: pa.Table) -> pa.Table:
         cols.append(texts)
     return pa.table(dict(zip(names, cols)))
 
-
-class HtmlExtractor:
-    """Actor-pool extraction stage: html:binary → text:string (byte-identical
-    to the golden text per url — pytest-verified invariant).
-
-    The class shape is for extractors with EXPENSIVE init (model load,
-    parser tables): pay actor startup once, amortize over batches. Our
-    default extractor is a compiled-regex pure function, so the build
-    pipeline uses the stateless ``extract_batch`` unless
-    ``BuildConfig.extract_actors`` asks for the pool (actor spin-up costs
-    seconds per execution — pure overhead when ``__init__`` is trivial,
-    the right trade when it is not)."""
-
-    def __init__(self) -> None:
-        self._extract = extract_text  # stand-in for heavy model/table load
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return extract_batch(batch)

@@ -1,40 +1,14 @@
-"""Build-option paths: actor-pool extraction and lang pushdown filtering
-produce the same index as their default counterparts / a filtered oracle."""
+"""Build-option paths: lang pushdown filtering produces the same index as
+a filtered oracle."""
 
 from __future__ import annotations
 
-import glob
-import hashlib
-import os
-
 import numpy as np
 import pyarrow.compute as pc
-import pytest
 
 from miru_ray.pipelines.build import BuildConfig, build_index
 from miru_ray.pipelines.search import search
 from miru_ray.state.reader import IndexReader
-
-
-def _digest(d: str) -> str:
-    import pyarrow.parquet as pq
-    t = pq.read_table(sorted(glob.glob(os.path.join(d, "segments", "*.parquet"))))
-    t = t.sort_by("term")
-    h = hashlib.sha256()
-    for col in ("term", "df", "cf", "docids", "tfs"):
-        for v in t[col].to_pylist():
-            h.update(v if isinstance(v, bytes) else str(v).encode())
-    return h.hexdigest()
-
-
-def test_actor_pool_extract_identical(pages, index_dir, tmp_path, ray_session):
-    """extract_actors=True (the heavy-init extractor shape) must produce
-    byte-identical segments to the stateless default."""
-    d = str(tmp_path / "actors")
-    build_index(pages, d, BuildConfig(num_parts=4, num_shards=2,
-                                      extract_actors=True,
-                                      extract_concurrency=2))
-    assert _digest(d) == _digest(index_dir)
 
 
 def test_lang_pushdown_filter(pages, tmp_path, ray_session):

@@ -72,12 +72,12 @@ def test_lang_id_deterministic(ray_session):
 
 
 def test_lang_id_vectorized_matches_per_row():
-    """Vectorized LangId kernel == per-row reference semantics (set of
+    """Vectorized lang_id_batch kernel == per-row reference semantics (set of
     first-200 tokens ∩ markers, alphabetical-first tie-break) including
     edge cases: empty text, no-token text, marker beyond window."""
     import pyarrow as pa
     from miru_ray.functions.tokenize import tokenize
-    from miru_ray.pipelines.textstats import _LANG_MARKERS, LangId
+    from miru_ray.pipelines.textstats import _LANG_MARKERS, lang_id_batch
 
     def per_row(texts):
         markers = {lg: set(ws) for lg, ws in _LANG_MARKERS.items()}
@@ -95,11 +95,10 @@ def test_lang_id_vectorized_matches_per_row():
              "DER Und the the the", "le la les est une que el"]
     tb = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                    "text": pa.array(texts)})
-    stage = LangId()
-    assert stage(tb)["lang_pred"].to_pylist() == per_row(texts)
+    assert lang_id_batch(tb)["lang_pred"].to_pylist() == per_row(texts)
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
                       "text": pa.array([], pa.string())})
-    assert stage(empty).num_rows == 0
+    assert lang_id_batch(empty).num_rows == 0
 
 
 def test_trending_consistent_with_waveform(ray_session):

@@ -132,8 +132,8 @@ def test_keep_one_ds_is_fully_lazy_and_matches(ray_session, tmp_path):
 
 
 def test_minhash_verify_plans_are_value_identical(monkeypatch, ray_session):
-    """The two exact-Jaccard verify plans — 'gather' (PairVerifier actor
-    pool, parquet-pushdown text gather) and 'join' (single corpus scan +
+    """The two exact-Jaccard verify plans — 'gather' (_verify_gather
+    tasks, parquet-pushdown text gather) and 'join' (single corpus scan +
     shingle-set keyed exchanges, the high-dup-density plan) — yield the
     same verified pair set at the same threshold. The fixture's
     candidate count is under the cutover, so the default run gathers;

@@ -2,12 +2,15 @@ import sys, time
 """Driver-simulation harness: run every __ray_entry__.queries() entry and
 compare against its oracle_sql() via DuckDB (exact values). Usage:
     python tools/check_oracle.py [SF_DIR] [entry ...]
-Exits 1 when any entry errors or differs from its oracle.
+Exits 1 when any entry errors or differs from its oracle. Ray gets
+RAY_GRAFT_CPUS logical CPUs (default 8).
 """
 import os
 import duckdb, numpy as np, pandas as pd
 import ray
-ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
+ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", 8)),
+         include_dashboard=False, logging_level="ERROR")
+print("Ray CPUs:", ray.cluster_resources().get("CPU"), flush=True)
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
