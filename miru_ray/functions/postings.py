@@ -29,7 +29,7 @@ import numpy as np
 __all__ = [
     "encode_ids", "decode_ids", "decode_first_last", "encode_tfs",
     "decode_tfs", "intersect_sorted", "union_sorted",
-    "diff_sorted", "block_max_tf", "BLOCK_SIZE",
+    "diff_sorted", "block_max_tf", "BLOCK_SIZE", "split_runs", "weave_runs",
 ]
 
 # posting entries per block-max block (WAND pruning granularity; the
@@ -201,6 +201,42 @@ def decode_tfs(blob: bytes | memoryview) -> np.ndarray:
     if tag == 1:
         return np.frombuffer(buf[1:], dtype="u1").astype(np.int64)
     return np.frombuffer(buf[1:], dtype="<u4").astype(np.int64)
+
+
+# --- run surgery over a merged posting's run directory (the segment's
+#     ``parts``/``pdfs`` columns: one run per contributing partition, in
+#     part order == docID order) ---
+
+def split_runs(ids: np.ndarray, tfs: np.ndarray | None, parts, pdfs,
+               gone=frozenset(), shift: dict | None = None) -> list[tuple]:
+    """Split one decoded posting into ``(part, ids, tfs)`` runs by its run
+    directory, dropping the runs of ``gone`` partitions and adding
+    ``shift[p]`` (a docID base move, ``new_base - old_base``) to each kept
+    run's ids. ``tfs`` may be None (ids-only reads)."""
+    bounds = np.concatenate([[0], np.cumsum(pdfs)]).astype(np.int64)
+    runs = []
+    for r, p in enumerate(parts):
+        p = int(p)
+        if p in gone:
+            continue
+        seg = slice(bounds[r], bounds[r + 1])
+        rid = ids[seg]
+        d = shift.get(p, 0) if shift else 0
+        if d:
+            rid = (rid.astype(np.int64) + d).astype(np.uint64)
+        runs.append((p, rid, None if tfs is None else tfs[seg]))
+    return runs
+
+
+def weave_runs(runs: list[tuple]) -> tuple[np.ndarray, np.ndarray | None]:
+    """Sort ``(part, ids, tfs)`` runs by part (in place) and concatenate:
+    partition docID ranges are disjoint and ascend with part, so the
+    result is globally sorted. ``runs`` must be non-empty."""
+    runs.sort(key=lambda x: x[0])
+    ids = np.concatenate([r[1] for r in runs])
+    tfs = (None if runs[0][2] is None
+           else np.concatenate([r[2] for r in runs]))
+    return ids, tfs
 
 
 # --- set algebra over decoded postings (MiruBitmaps and/or/andNot parity,

@@ -257,15 +257,6 @@ class BuildConfig:
                                      # same url+fetch-ts is NOT detected there.
 
 
-def _merge_one_shard(shard: int, part_files: dict[int, str],
-                     bases: dict[int, int], segments_tmp: str) -> dict:
-    import pyarrow as pa
-    out = merge_shard(pa.table({"shard": pa.array([shard], pa.int64())}),
-                      index_dir="", part_files=part_files, bases=bases,
-                      segments_tmp=segments_tmp)
-    return {"n_terms": out["n_terms"][0].as_py(), "bytes": out["bytes"][0].as_py()}
-
-
 def _stamp_part(batch: pa.Table, *, num_parts: int) -> pa.Table:
     urls = batch["url"].to_numpy(zero_copy_only=False)
     return batch.append_column("part", pa.array(part_for(urls, num_parts), pa.int64()))
@@ -495,11 +486,14 @@ def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
     out-of-band and must re-derive the same global state.
 
     When ``changed_parts`` names the partitions rewritten this run and the
-    previous segments carry the v3 run directory, the merge SPLICES those
-    runs into the previous segment files (stages/merge.splice_shard)
-    instead of re-deriving every segment from all P partitions — the
-    incremental-append fast path (VERDICT r3 #6). Digest-identical to a
-    full merge; falls back to full whenever preconditions fail."""
+    previous segments carry the v3 run directory, the merge is incremental.
+    A commit that replaces at most ¼ of the partitions writes one small
+    delta OVERLAY generation (stages/merge.delta_shard) and leaves the
+    base files untouched; readers drop the replaced runs and shift kept
+    runs whose docID base moved (state/segview.py). One that replaces at
+    most ½ SPLICES those runs into the previous segment files
+    (stages/merge.splice_shard), digest-identical to a full merge.
+    Anything wider, or any failed precondition, runs the full merge."""
     import ray as _ray
     done = completed_parts(index_dir)
     old_meta = layout.read_json(meta_path(index_dir))
@@ -508,10 +502,12 @@ def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
     # stay recorded so a query naming one fails loudly until add_field
     # re-derives it (search._refuse_dropped_fields)
     prev = old_meta or {}
-    dropped = sorted(({r["name"] for r in prev.get("extra_fields", [])}
-                      | set(prev.get("dropped_fields", [])))
-                     - {f.name for f in (schema.fields if schema else ())})
-    dropped_meta = {"dropped_fields": dropped} if dropped else {}
+    dropped_fields = sorted(
+        ({r["name"] for r in prev.get("extra_fields", [])}
+         | set(prev.get("dropped_fields", [])))
+        - {f.name for f in (schema.fields if schema else ())})
+    dropped_meta = ({"dropped_fields": dropped_fields} if dropped_fields
+                    else {})
     if not done:
         meta = {"num_parts": num_parts, "num_shards": num_shards,
                 "n_docs": 0, "avgdl": 0.0, "bases": {}, "k1": k1, "b": b,
@@ -556,7 +552,7 @@ def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
         base_bases = {int(p): int(v) for p, v in
                       (((prev_delta or {}).get("base_bases"))
                        or old_meta.get("bases") or {}).items()}
-        dropped = set(base_bases) - set(parts_sorted)
+        dropped_parts = set(base_bases) - set(parts_sorted)
         changed = set(changed_parts) & set(parts_sorted)
         # crash-safety: a partition rebuilt by a PREVIOUS run that died
         # before finalize is not in changed_parts, but its manifest no
@@ -578,7 +574,8 @@ def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
                 if (p not in prior
                         or prior[p] != done[p].get("input_digest")):
                     changed.add(p)
-        touch = ((changed | dropped) if changed is not None else set())
+        touch = ((changed | dropped_parts) if changed is not None
+                 else set())
         seg_old = {s: os.path.join(segments_dir(index_dir),
                                    f"shard={s:05d}.parquet")
                    for s in range(num_shards)}
@@ -602,14 +599,13 @@ def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
             # splice must keep covering them — base files stay stale)
             prev_overlaid = {p for p in gen_pd if p in set(parts_sorted)}
             stale = changed | prev_overlaid
-            kept = [p for p in parts_sorted if p not in stale]
-            replaced = sorted(stale | dropped)
-            bases_stable = all(bases[p] == base_bases.get(p) for p in kept)
-            if bases_stable and len(replaced) * 4 <= max(
+            replaced = sorted(stale | dropped_parts)
+            if len(replaced) * 4 <= max(
                     num_parts, len(parts_sorted), len(base_bases)):
                 # overlay append: leave the base files untouched, write ONE
                 # small generation covering every stale partition (a prior
-                # generation is fully superseded, then dropped)
+                # generation is fully superseded, then dropped). Kept base
+                # runs whose base moved are shifted on read (SegView)
                 import shutil as _shutil
                 from miru_ray.stages.merge import delta_shard
                 gen = (int(prev_delta["gen"]) + 1) if prev_delta else 0
@@ -638,25 +634,25 @@ def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
                                      for p in sorted(stale)},
                 }
                 base_pd_keep = dict(old_pd)
-            elif len(stale | dropped) <= len(parts_sorted) // 2:
+            elif len(replaced) <= len(parts_sorted) // 2:
                 # splice the base files up to current truth (folds any live
                 # overlay's partitions too, re-reading their postings)
                 from miru_ray.stages.merge import splice_shard
                 changed_files = {p: part_files[p] for p in sorted(stale)}
                 splice_task = _ray.remote(num_cpus=merge_cpus)(splice_shard)
                 futs = [splice_task.remote(s_, seg_old[s_], changed_files,
-                                           base_bases, bases, dropped,
-                                           seg_tmp)
+                                           base_bases, bases,
+                                           dropped_parts, seg_tmp)
                         for s_ in range(num_shards)]
                 seg_stats = _ray.get(futs)
                 merge_mode = "splice"
     if merge_mode == "full":
         # plain task fan-out (the documented raw-Ray exception: input is a
         # list of shard ids, not data — no Dataset semantics to preserve)
-        merge_task = _ray.remote(num_cpus=merge_cpus)(_merge_one_shard)
+        merge_task = _ray.remote(num_cpus=merge_cpus)(merge_shard)
         futs = [merge_task.remote(s_, part_files, bases, seg_tmp)
                 for s_ in range(num_shards)]
-        seg_stats = _ray.get(futs)
+        seg_stats = [t.to_pylist()[0] for t in _ray.get(futs)]
     if merge_mode != "delta":
         # swap via two atomic renames (live → trash, tmp → live) instead of
         # rmtree-then-rename: the no-segments window shrinks from an

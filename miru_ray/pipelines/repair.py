@@ -65,18 +65,25 @@ __all__ = ["repair_index", "repair_replay"]
 _CACHE_ROOT = "/tmp/miru_ray_idx"
 
 
+def _mode_meta(meta) -> dict:
+    """The index's partition mode (and time bounds) from meta.json."""
+    # metas written before partition_mode was recorded still carry
+    # time_bounds when (and only when) they were built time_range — don't
+    # default such an index to hash routing, or every repair row lands in
+    # the wrong partition and silently matches nothing
+    out = {"partition_mode": meta.get("partition_mode") or (
+        "time_range" if "time_bounds" in meta else "hash")}
+    if "time_bounds" in meta:
+        out["time_bounds"] = meta["time_bounds"]
+    return out
+
+
 def _part_fn_from_meta(meta):
     """The index's own partition routing, reconstructed from meta.json."""
     from miru_ray.functions.hashing import part_for
     from miru_ray.pipelines.build import _time_parts
     num_parts = int(meta["num_parts"])
-    # metas written before partition_mode was recorded still carry
-    # time_bounds when (and only when) they were built time_range — don't
-    # default such an index to hash routing, or every repair row lands in
-    # the wrong partition and silently matches nothing
-    mode = meta.get("partition_mode") or (
-        "time_range" if "time_bounds" in meta else "hash")
-    if mode == "time_range":
+    if _mode_meta(meta)["partition_mode"] == "time_range":
         lo, hi = meta["time_bounds"]
 
         def route(urls, ts_us):
@@ -150,10 +157,11 @@ def repair_index(index_dir: str, feed: pa.Table) -> dict:
     (timestamp[us] — the VERSION), text, lang (payload; ignored for
     removes). Returns the refreshed meta.json dict.
 
-    A repair that keeps every partition's doc count (pure value repairs)
-    takes the DELTA OVERLAY merge — O(changed) writes, base
-    segment files byte-untouched; removes (or count-shifting repairs)
-    shift docID bases and fold via the splice."""
+    A feed that touches at most ¼ of the partitions takes the DELTA
+    OVERLAY merge — O(changed) writes, base segment files byte-untouched —
+    even when a remove (or a count-changing repair) shifts later docID
+    bases: readers shift those partitions' kept runs on read. Wider feeds
+    fold via the splice."""
     import ray as _ray
     from miru_ray.pipelines.build import finalize_index
     from miru_ray.state import layout
@@ -247,10 +255,6 @@ def repair_index(index_dir: str, feed: pa.Table) -> dict:
             meta.get("schema") or [], meta.get("analyzer", "simple")))
     _ray.get(futs)
 
-    mode_meta = {"partition_mode": meta.get("partition_mode") or (
-        "time_range" if "time_bounds" in meta else "hash")}
-    if "time_bounds" in meta:
-        mode_meta["time_bounds"] = meta["time_bounds"]
     phase_t = {"repair_partitions": round(time.perf_counter() - t0, 3),
                "repaired_parts": sorted(affected)}
     return finalize_index(
@@ -258,7 +262,8 @@ def repair_index(index_dir: str, feed: pa.Table) -> dict:
         num_shards=int(meta["num_shards"]), k1=meta.get("k1", 1.2),
         b=meta.get("b", 0.75), schema=schema,
         analyzer=meta.get("analyzer", "simple"), skipped=[],
-        phase_t=phase_t, mode_meta=mode_meta, changed_parts=set(affected))
+        phase_t=phase_t, mode_meta=_mode_meta(meta),
+        changed_parts=set(affected))
 
 
 # --------------------------------------------------------------- entry

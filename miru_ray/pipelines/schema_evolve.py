@@ -102,7 +102,7 @@ def add_field(index_dir: str, source, fdef) -> dict:
     Dataset / Table with url + warc_ts + the field's source columns).
     Returns the refreshed meta. Primary segments are not touched."""
     import ray as _ray
-    from miru_ray.pipelines.build import _merge_one_shard
+    from miru_ray.stages.merge import merge_shard
     from miru_ray.state.layout import meta_path, part_dir, read_json, \
         write_json_atomic
     from miru_ray.state.schema import IndexSchema
@@ -158,7 +158,7 @@ def add_field(index_dir: str, source, fdef) -> dict:
                       f"postings_field_{fdef.name}.parquet"))}
     seg_dir = field_segments_dir(index_dir, fdef.name)
     seg_tmp = seg_dir + ".tmp"
-    merge_task = _ray.remote(_merge_one_shard)
+    merge_task = _ray.remote(merge_shard)
     _ray.get([merge_task.remote(s, part_files, bases, seg_tmp)
               for s in range(num_shards)])
     import shutil

@@ -28,21 +28,24 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from miru_ray.functions.postings import (block_max_tf, decode_ids, decode_tfs,
-                                         encode_ids, encode_tfs)
+                                         encode_ids, encode_tfs, split_runs,
+                                         weave_runs)
 
 __all__ = ["merge_shard", "merge_rows", "splice_shard", "delta_shard"]
 
 
-def _empty_segment_table() -> pa.Table:
-    return pa.table({
-        "term": pa.array([], pa.string()), "shard": pa.array([], pa.int64()),
-        "df": pa.array([], pa.int64()), "cf": pa.array([], pa.int64()),
-        "docids": pa.array([], pa.binary()), "tfs": pa.array([], pa.binary()),
-        "bmax": pa.array([], pa.binary()),
-        "parts": pa.array([], pa.list_(pa.int64())),
-        "pdfs": pa.array([], pa.list_(pa.int64())),
-        "pcfs": pa.array([], pa.list_(pa.int64())),
-    })
+_SEGMENT_TYPES = {
+    "term": pa.string(), "shard": pa.int64(), "df": pa.int64(),
+    "cf": pa.int64(), "docids": pa.binary(), "tfs": pa.binary(),
+    "bmax": pa.binary(), "parts": pa.list_(pa.int64()),
+    "pdfs": pa.list_(pa.int64()), "pcfs": pa.list_(pa.int64()),
+}
+
+
+def _segment_table(cols: dict[str, list]) -> pa.Table:
+    """Segment rows (one per term) from per-column lists."""
+    return pa.table({k: pa.array(cols[k], t)
+                     for k, t in _SEGMENT_TYPES.items()})
 
 
 def merge_rows(rows: pa.Table, bases: dict[int, int]) -> pa.Table:
@@ -54,9 +57,9 @@ def merge_rows(rows: pa.Table, bases: dict[int, int]) -> pa.Table:
     (that run's df) — the "singleton-merge header" that lets a later
     incremental merge splice a changed partition's run in and out without
     re-reading every partition (splice_shard below)."""
-    empty = _empty_segment_table()
+    out = {k: [] for k in _SEGMENT_TYPES}
     if rows.num_rows == 0:
-        return empty
+        return _segment_table(out)
     # sort in ARROW, not pandas: pandas' multi-key sort_values mis-orders
     # strings with embedded NULs (the \x00field\x00 namespace), leaving
     # same-term rows non-adjacent and breaking the run grouping below.
@@ -75,8 +78,6 @@ def merge_rows(rows: pa.Table, bases: dict[int, int]) -> pa.Table:
     cfs = df_["cf"].to_numpy()
     shards = df_["shard"].to_numpy()
 
-    out_term, out_shard, out_df, out_cf, out_ids, out_tfs, out_bmax = ([], [], [], [], [], [], [])
-    out_parts, out_pdfs, out_pcfs = [], [], []
     for s, e in zip(starts, ends):
         if e - s == 1:  # single-partition term: rebase only
             ids = decode_ids(blobs[s]) + np.uint64(bases[int(parts[s])])
@@ -85,28 +86,27 @@ def merge_rows(rows: pa.Table, bases: dict[int, int]) -> pa.Table:
             ids = np.concatenate([decode_ids(blobs[i]) + np.uint64(bases[int(parts[i])])
                                   for i in range(s, e)])
             tfs = np.concatenate([decode_tfs(tf_blobs[i]) for i in range(s, e)])
-        out_term.append(terms[s])
-        out_shard.append(int(shards[s]))
-        out_df.append(int(dfs[s:e].sum()))
-        out_cf.append(int(cfs[s:e].sum()))
-        out_ids.append(encode_ids(ids))
-        out_tfs.append(encode_tfs(tfs))
-        out_bmax.append(block_max_tf(tfs))
-        out_parts.append([int(p) for p in parts[s:e]])
-        out_pdfs.append([int(d) for d in dfs[s:e]])
-        out_pcfs.append([int(c) for c in cfs[s:e]])
-    return pa.table({
-        "term": pa.array(out_term, pa.string()),
-        "shard": pa.array(out_shard, pa.int64()),
-        "df": pa.array(out_df, pa.int64()),
-        "cf": pa.array(out_cf, pa.int64()),
-        "docids": pa.array(out_ids, pa.binary()),
-        "tfs": pa.array(out_tfs, pa.binary()),
-        "bmax": pa.array(out_bmax, pa.binary()),
-        "parts": pa.array(out_parts, pa.list_(pa.int64())),
-        "pdfs": pa.array(out_pdfs, pa.list_(pa.int64())),
-        "pcfs": pa.array(out_pcfs, pa.list_(pa.int64())),
-    })
+        out["term"].append(terms[s])
+        out["shard"].append(int(shards[s]))
+        out["df"].append(int(dfs[s:e].sum()))
+        out["cf"].append(int(cfs[s:e].sum()))
+        out["docids"].append(encode_ids(ids))
+        out["tfs"].append(encode_tfs(tfs))
+        out["bmax"].append(block_max_tf(tfs))
+        out["parts"].append([int(p) for p in parts[s:e]])
+        out["pdfs"].append([int(d) for d in dfs[s:e]])
+        out["pcfs"].append([int(c) for c in cfs[s:e]])
+    return _segment_table(out)
+
+
+def _write_shard(table: pa.Table, out_dir: str, shard: int) -> int:
+    """Write one shard file atomically (tmp + rename); returns its size."""
+    os.makedirs(out_dir, exist_ok=True)
+    final = os.path.join(out_dir, f"shard={shard:05d}.parquet")
+    pq.write_table(table, final + ".tmp",
+                   row_group_size=4096, compression="zstd")
+    os.replace(final + ".tmp", final)
+    return os.path.getsize(final)
 
 
 def _fresh_rows(shard: int, changed_files: dict[int, str],
@@ -146,114 +146,50 @@ def splice_shard(shard: int, old_file: str, changed_files: dict[int, str],
     limit_worker_threads()
     old = pq.read_table(old_file)
     fresh = _fresh_rows(shard, changed_files, new_bases)
-    # bulk-convert EVERY column touched in the loop once — chained-array
-    # cell.as_py() per row costs five chunk lookups per untouched term,
-    # which dominates exactly the fast path this function exists for
-    f_term = fresh["term"].to_pylist()
-    f_df = fresh["df"].to_pylist()
-    f_cf = fresh["cf"].to_pylist()
-    f_docids = fresh["docids"].to_pylist()
-    f_tfs = fresh["tfs"].to_pylist()
-    f_bmax = fresh["bmax"].to_pylist()
-    f_parts = fresh["parts"].to_pylist()
-    f_pdfs = fresh["pdfs"].to_pylist()
-    f_pcfs = fresh["pcfs"].to_pylist()
-    fresh_by_term: dict[str, int] = {t: i for i, t in enumerate(f_term)}
+    # bulk-convert EVERY column once — chained-array cell.as_py() per row
+    # costs five chunk lookups per untouched term, which dominates exactly
+    # the fast path this function exists for
+    o = {k: old[k].to_pylist() for k in _SEGMENT_TYPES}
+    f = {k: fresh[k].to_pylist() for k in _SEGMENT_TYPES}
+    fresh_by_term: dict[str, int] = {t: i for i, t in enumerate(f["term"])}
     gone = set(changed_files) | set(dropped)
     delta = {p: new_bases.get(p, 0) - old_bases.get(p, 0)
              for p in old_bases}
+    out = {k: [] for k in _SEGMENT_TYPES}
 
-    o_term = old["term"].to_pylist()
-    o_parts = old["parts"].to_pylist()
-    o_pdfs = old["pdfs"].to_pylist()
-    o_df = old["df"].to_pylist()
-    o_cf = old["cf"].to_pylist()
-    o_docids = old["docids"].to_pylist()
-    o_tfs = old["tfs"].to_pylist()
-    o_bmax = old["bmax"].to_pylist()
-    o_pcfs = old["pcfs"].to_pylist()
-    out = {k: [] for k in ("term", "shard", "df", "cf", "docids", "tfs",
-                           "bmax", "parts", "pdfs", "pcfs")}
-
-    def emit(term, df, cf, ids_b, tfs_b, bmax_b, parts_l, pdfs_l, pcfs_l):
-        out["term"].append(term); out["shard"].append(shard)
-        out["df"].append(df); out["cf"].append(cf)
-        out["docids"].append(ids_b); out["tfs"].append(tfs_b)
-        out["bmax"].append(bmax_b)
-        out["parts"].append(parts_l); out["pdfs"].append(pdfs_l)
-        out["pcfs"].append(pcfs_l)
-
-    def emit_fresh(fi: int):
-        emit(f_term[fi], f_df[fi], f_cf[fi], f_docids[fi], f_tfs[fi],
-             f_bmax[fi], f_parts[fi], f_pdfs[fi], f_pcfs[fi])
+    def emit(*row):
+        for k, v in zip(_SEGMENT_TYPES, row):
+            out[k].append(v)
 
     consumed: set[str] = set()
-    for i in range(old.num_rows):
-        term = o_term[i]
-        parts_l = o_parts[i]
-        pdfs_l = o_pdfs[i]
+    for i, (term, parts_l) in enumerate(zip(o["term"], o["parts"])):
         fi = fresh_by_term.get(term)
-        untouched = (fi is None
-                     and not any(p in gone for p in parts_l)
-                     and all(delta.get(p, 0) == 0 for p in parts_l))
-        if untouched:
-            emit(term, o_df[i], o_cf[i], o_docids[i], o_tfs[i],
-                 o_bmax[i], parts_l, pdfs_l, o_pcfs[i])
+        if fi is None and not any(p in gone or delta.get(p, 0)
+                                  for p in parts_l):
+            emit(*(o[k][i] for k in _SEGMENT_TYPES))   # untouched: raw copy
             continue
         # decode, drop gone runs, shift kept runs, weave in fresh runs
-        ids = decode_ids(o_docids[i])
-        tfs = decode_tfs(o_tfs[i])
-        bounds = np.concatenate([[0], np.cumsum(pdfs_l)]).astype(np.int64)
-        runs = []   # (part, ids, tfs)
-        for r, p in enumerate(parts_l):
-            if p in gone:
-                continue
-            seg = slice(bounds[r], bounds[r + 1])
-            rid = ids[seg]
-            d = delta.get(p, 0)
-            if d:
-                rid = (rid.astype(np.int64) + d).astype(np.uint64)
-            runs.append((p, rid, tfs[seg]))
+        runs = split_runs(decode_ids(o["docids"][i]), decode_tfs(o["tfs"][i]),
+                          parts_l, o["pdfs"][i], gone, delta)
         if fi is not None:
             consumed.add(term)
-            fr_ids = decode_ids(f_docids[fi])
-            fr_tfs = decode_tfs(f_tfs[fi])
-            fb = np.concatenate([[0], np.cumsum(f_pdfs[fi])]).astype(np.int64)
-            for r, p in enumerate(f_parts[fi]):
-                seg = slice(fb[r], fb[r + 1])
-                runs.append((int(p), fr_ids[seg], fr_tfs[seg]))
+            runs += split_runs(decode_ids(f["docids"][fi]),
+                               decode_tfs(f["tfs"][fi]), f["parts"][fi],
+                               f["pdfs"][fi])
         if not runs:
             continue   # every run dropped: the term vanishes
-        runs.sort(key=lambda x: x[0])   # part order == id order
-        m_ids = np.concatenate([r[1] for r in runs])
-        m_tfs = np.concatenate([r[2] for r in runs])
-        emit(term, len(m_ids), int(m_tfs.sum()), encode_ids(m_ids),
-             encode_tfs(m_tfs), block_max_tf(m_tfs),
-             [r[0] for r in runs], [len(r[1]) for r in runs],
-             [int(r[2].sum()) for r in runs])
+        ids, tfs = weave_runs(runs)
+        emit(term, shard, len(ids), int(tfs.sum()), encode_ids(ids),
+             encode_tfs(tfs), block_max_tf(tfs), [r[0] for r in runs],
+             [len(r[1]) for r in runs], [int(r[2].sum()) for r in runs])
     # fresh terms not woven into an existing row are brand new — emit as-is
-    for fi in range(fresh.num_rows):
-        if f_term[fi] not in consumed:
-            emit_fresh(fi)
+    for fi, term in enumerate(f["term"]):
+        if term not in consumed:
+            emit(*(f[k][fi] for k in _SEGMENT_TYPES))
 
-    merged = pa.table({
-        "term": pa.array(out["term"], pa.string()),
-        "shard": pa.array(out["shard"], pa.int64()),
-        "df": pa.array(out["df"], pa.int64()),
-        "cf": pa.array(out["cf"], pa.int64()),
-        "docids": pa.array(out["docids"], pa.binary()),
-        "tfs": pa.array(out["tfs"], pa.binary()),
-        "bmax": pa.array(out["bmax"], pa.binary()),
-        "parts": pa.array(out["parts"], pa.list_(pa.int64())),
-        "pdfs": pa.array(out["pdfs"], pa.list_(pa.int64())),
-        "pcfs": pa.array(out["pcfs"], pa.list_(pa.int64())),
-    }).sort_by("term")
-    os.makedirs(segments_tmp, exist_ok=True)
-    final = os.path.join(segments_tmp, f"shard={shard:05d}.parquet")
-    pq.write_table(merged, final + ".tmp",
-                   row_group_size=4096, compression="zstd")
-    os.replace(final + ".tmp", final)
-    return {"n_terms": merged.num_rows, "bytes": os.path.getsize(final)}
+    merged = _segment_table(out).sort_by("term")
+    return {"n_terms": merged.num_rows,
+            "bytes": _write_shard(merged, segments_tmp, shard)}
 
 
 def delta_shard(shard: int, old_file: str, changed_files: dict[int, str],
@@ -264,7 +200,8 @@ def delta_shard(shard: int, old_file: str, changed_files: dict[int, str],
     dual: LAB delta chits over immutable atomized containers,
     LabInvertedIndex.java:76-449). Cost is O(changed partitions), not
     O(index) — the read side (state/segview.py) weaves overlay runs over
-    base runs, dropping base runs of ``replaced`` partitions.
+    base runs, dropping base runs of ``replaced`` partitions and shifting
+    kept base runs whose docID base moved (functions/postings.split_runs).
 
     Returns the shard's stats: n_terms = base terms + overlay-only terms
     (the base-term count comes free from parquet metadata and the
@@ -275,11 +212,7 @@ def delta_shard(shard: int, old_file: str, changed_files: dict[int, str],
     from miru_ray.functions.runtime import limit_worker_threads
     limit_worker_threads()
     fresh = _fresh_rows(shard, changed_files, new_bases)
-    os.makedirs(gen_tmp, exist_ok=True)
-    final = os.path.join(gen_tmp, f"shard={shard:05d}.parquet")
-    pq.write_table(fresh, final + ".tmp",
-                   row_group_size=4096, compression="zstd")
-    os.replace(final + ".tmp", final)
+    gen_bytes = _write_shard(fresh, gen_tmp, shard)
     base_rows = pq.ParquetFile(old_file).metadata.num_rows
     gen_terms = fresh["term"].to_pylist()
     matched = (pq.read_table(
@@ -287,27 +220,18 @@ def delta_shard(shard: int, old_file: str, changed_files: dict[int, str],
         filters=pads.field("term").isin(gen_terms)).num_rows
         if gen_terms else 0)
     return {"n_terms": base_rows + len(gen_terms) - matched,
-            "bytes": os.path.getsize(old_file) + os.path.getsize(final)}
+            "bytes": os.path.getsize(old_file) + gen_bytes}
 
 
-def merge_shard(batch: pa.Table, *, index_dir: str, part_files: dict[int, str],
+def merge_shard(shard: int, part_files: dict[int, str],
                 bases: dict[int, int], segments_tmp: str) -> pa.Table:
-    """map_batches body over a tiny shard-id dataset: merge one (or more)
-    shards and write ``segments_tmp/shard=S.parquet`` atomically.
-
-    Returns a metrics row per shard (terms, bytes) — the lineage record.
-    """
+    """Full merge of ONE shard from every partition's postings, written
+    to ``segments_tmp/shard=S.parquet`` atomically. Returns the one-row
+    (shard, n_terms, bytes) lineage record."""
     from miru_ray.functions.runtime import limit_worker_threads
     limit_worker_threads()
-    out_rows = {"shard": [], "n_terms": [], "bytes": []}
-    for shard in batch["shard"].to_pylist():
-        merged = _fresh_rows(shard, part_files, bases)
-        os.makedirs(segments_tmp, exist_ok=True)
-        final = os.path.join(segments_tmp, f"shard={shard:05d}.parquet")
-        pq.write_table(merged, final + ".tmp",
-                       row_group_size=4096, compression="zstd")
-        os.replace(final + ".tmp", final)
-        out_rows["shard"].append(shard)
-        out_rows["n_terms"].append(merged.num_rows)
-        out_rows["bytes"].append(os.path.getsize(final))
-    return pa.table({k: pa.array(v, pa.int64()) for k, v in out_rows.items()})
+    merged = _fresh_rows(shard, part_files, bases)
+    nbytes = _write_shard(merged, segments_tmp, shard)
+    return pa.table({k: pa.array([v], pa.int64()) for k, v in
+                     (("shard", shard), ("n_terms", merged.num_rows),
+                      ("bytes", nbytes))})

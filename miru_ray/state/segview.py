@@ -8,7 +8,10 @@ LAB delta chits over immutable atomized containers,
 miru-service/.../index/lab/LabInvertedIndex.java:76-449). A reader must
 therefore resolve every term against TWO sources:
 
-- the base row: runs for parts NOT in ``replaced_parts`` survive;
+- the base row: runs for parts NOT in ``replaced_parts`` survive. The
+  base was merged under ``delta["base_bases"]``; a surviving run whose
+  partition's docID base has since moved (a replaced partition before it
+  changed its doc count) is shifted by ``bases[p] - base_bases[p]``;
 - the overlay row: all of its runs survive (it was written with the
   CURRENT bases and fully supersedes the replaced partitions).
 
@@ -17,17 +20,18 @@ Query-path cost design (measured: naive per-query overlay reads added
 read ONCE and cached in memory, and ONE base pass over the thin
 (term, parts, pdfs, pcfs) columns builds a resolution map holding run
 directories only for terms that can be affected — terms whose run set
-reaches min(replaced_parts). Every other term takes the byte-identical
-passthrough the clean path takes: same filtered read, same columns, no
-blob re-decode. The v4 per-run cf (``pcfs``) keeps stat resolution
+reaches min(replaced ∪ shifted parts). Every other term takes the
+byte-identical passthrough the clean path takes: same filtered read, same
+columns, no blob re-decode. The v4 per-run cf (``pcfs``) keeps stat resolution
 decode-free.
 
 Ordering invariant used when weaving: partition docID ranges are
 disjoint and ascend with part id, so runs sorted by part concatenate
 into globally sorted ids; a term absent from the resolution map keeps
-ALL its base runs, and those runs' parts all precede min(replaced) —
-hence every overlay run — so [base blob, overlay runs] is already in
-order.
+ALL its base runs unshifted, and those runs' parts all precede
+min(replaced ∪ shifted) — hence every overlay run — so [base blob,
+overlay runs] is already in order. Splitting, dropping and shifting runs
+is functions/postings.split_runs, the kernel the splice merge also uses.
 
 When an index has no overlay (``meta`` lacks ``delta``), every method
 passes the base rows through untouched — the hot path is unchanged.
@@ -52,10 +56,6 @@ def scan_shard_files(d: str) -> dict[int, str]:
             for f in glob.glob(os.path.join(d, "shard=*.parquet"))}
 
 
-def _bounds(pdfs) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(pdfs)]).astype(np.int64)
-
-
 def _empty_stats() -> pa.Table:
     return pa.table({"term": pa.array([], pa.string()),
                      "df": pa.array([], pa.int64()),
@@ -67,25 +67,32 @@ class SegView:
     overlaid by the index's delta generation (primary family only)."""
 
     def __init__(self, seg_dir: str, delta: dict | None = None,
-                 index_dir: str | None = None):
+                 index_dir: str | None = None, bases: dict | None = None):
         self.files = scan_shard_files(seg_dir)
         self.gen_files: dict[int, str] = {}
         self.replaced: set[int] = set()
-        self._min_rep: int | None = None
+        self.shift: dict[int, int] = {}   # part -> current − base-time base
+        self._reach: int | None = None
         # per-shard caches, built on first touch (a SegView lives inside
         # one IndexReader; the index is immutable for its lifetime):
         #   _gen_cache: the full overlay table per shard
         #   _res_cache: term -> (parts, pdfs, pcfs) for terms whose runs
-        #               reach min(replaced) — the only terms that can need
-        #               run surgery or part-interleaved weaving
+        #               reach min(replaced ∪ shifted) — the only terms that
+        #               can need run surgery or part-interleaved weaving
         self._gen_cache: dict[int, pa.Table | None] = {}
         self._res_cache: dict[int, dict[str, tuple[list, list, list]]] = {}
         if delta:
             gdir = delta_gen_dir(index_dir, int(delta["gen"]))
             self.gen_files = scan_shard_files(gdir)
             self.replaced = {int(p) for p in delta["replaced_parts"]}
-            if self.replaced:
-                self._min_rep = min(self.replaced)
+            now = {int(p): int(v) for p, v in (bases or {}).items()}
+            for p, v in (delta.get("base_bases") or {}).items():
+                p = int(p)
+                if p in now and p not in self.replaced and now[p] != int(v):
+                    self.shift[p] = now[p] - int(v)
+            moved = self.replaced | set(self.shift)
+            if moved:
+                self._reach = min(moved)
             missing = set(self.files) - set(self.gen_files)
             if self.replaced and missing:
                 # delta_shard writes a file for EVERY shard (even when the
@@ -100,7 +107,8 @@ class SegView:
 
     @classmethod
     def primary(cls, index_dir: str, meta: dict) -> "SegView":
-        return cls(segments_dir(index_dir), meta.get("delta"), index_dir)
+        return cls(segments_dir(index_dir), meta.get("delta"), index_dir,
+                   meta.get("bases"))
 
     @property
     def _plain(self) -> bool:
@@ -123,10 +131,10 @@ class SegView:
         if hit is None:
             hit = {}
             f = self.files.get(shard)
-            if f is not None and self._min_rep is not None:
+            if f is not None and self._reach is not None:
                 t = pq.read_table(f, columns=["term", "parts", "pdfs",
                                               "pcfs"])
-                mr = self._min_rep
+                mr = self._reach
                 for term, parts, pdfs, pcfs in zip(
                         t["term"].to_pylist(), t["parts"].to_pylist(),
                         t["pdfs"].to_pylist(), t["pcfs"].to_pylist()):
@@ -201,7 +209,8 @@ class SegView:
         globally sorted. A term untouched by the overlay costs exactly
         what the plain path costs (same read, no re-encode)."""
         from miru_ray.functions.postings import (block_max_tf, decode_ids,
-                                                 decode_tfs)
+                                                 decode_tfs, split_runs,
+                                                 weave_runs)
         want_tfs = want_tfs or want_bmax   # a recomputed bmax needs the tfs
         cols = ["term", "df", "docids"]
         if want_tfs:
@@ -233,21 +242,16 @@ class SegView:
                     if gen is not None else {})
 
         def gen_runs(gi: int):
-            ids = decode_ids(gen["docids"][gi].as_py())
-            tfs = decode_tfs(gen["tfs"][gi].as_py()) if want_tfs else None
-            b = _bounds(gen["pdfs"][gi].as_py())
-            return [(int(p), ids[b[r]:b[r + 1]],
-                     tfs[b[r]:b[r + 1]] if want_tfs else None)
-                    for r, p in enumerate(gen["parts"][gi].as_py())]
+            return split_runs(
+                decode_ids(gen["docids"][gi].as_py()),
+                decode_tfs(gen["tfs"][gi].as_py()) if want_tfs else None,
+                gen["parts"][gi].as_py(), gen["pdfs"][gi].as_py())
 
         def emit(term, runs) -> dict | None:
             if not runs:
                 return None                       # term died with its parts
-            runs.sort(key=lambda x: x[0])         # part order == id order
-            ids = np.concatenate([r[1] for r in runs])
-            row = {"term": term, "df": len(ids), "ids": ids,
-                   "tfs": (np.concatenate([r[2] for r in runs])
-                           if want_tfs else None)}
+            ids, tfs = weave_runs(runs)
+            row = {"term": term, "df": len(ids), "ids": ids, "tfs": tfs}
             if want_bmax:
                 row["bmax"] = np.frombuffer(
                     block_max_tf(row["tfs"]), dtype="<u2").astype(np.int64)
@@ -275,17 +279,15 @@ class SegView:
                 tfs = (decode_tfs(base["tfs"][i].as_py())
                        if want_tfs else None)
                 if r is None:
-                    # all base runs kept and every one precedes every
-                    # overlay run (runs never reach min(replaced)) — keep
-                    # the blob whole as one leading pseudo-run
+                    # all base runs kept unshifted and every one precedes
+                    # every overlay run (runs never reach the resolution
+                    # threshold) — keep the blob whole as one leading
+                    # pseudo-run
                     runs = [(-1, ids, tfs)]
                 else:
                     parts, pdfs, _ = r
-                    b = _bounds(pdfs)
-                    runs = [(int(p), ids[b[k]:b[k + 1]],
-                             tfs[b[k]:b[k + 1]] if want_tfs else None)
-                            for k, p in enumerate(parts)
-                            if p not in self.replaced]
+                    runs = split_runs(ids, tfs, parts, pdfs, self.replaced,
+                                      self.shift)
                 if gi is not None:
                     runs.extend(gen_runs(gi))
                 row = emit(term, runs)

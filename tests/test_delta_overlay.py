@@ -1,7 +1,8 @@
-"""Delta-overlay appends: a small time-ordered sip leaves the base
-segment files byte-untouched and writes one O(changed) overlay
-generation; readers resolve base+overlay to EXACTLY a clean build's
-answers; a big append folds the overlay back via the splice."""
+"""Delta-overlay appends: a small sip leaves the base segment files
+byte-untouched and writes one O(changed) overlay generation, also when
+it shifts later partitions' docID bases; readers resolve base+overlay to
+EXACTLY a clean build's answers on every term; a big append folds the
+overlay back via the splice."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -40,6 +42,23 @@ def _seg_digest(d: str) -> str:
     return h.hexdigest()
 
 
+def _assert_vocab_equiv(ra: IndexReader, rb: IndexReader, clean: str):
+    """Every term of the clean build: the same live vocabulary, and per
+    term the same ids, tfs, df, block-max and (df, cf)."""
+    files = sorted(glob.glob(os.path.join(clean, "segments", "*.parquet")))
+    vocab = sorted(pq.read_table(files, columns=["term"])["term"].to_pylist())
+    assert ra.expand_prefix("", len(vocab) + 1) == \
+        [t for t in vocab if not t.startswith("\x00")]
+    got, want = ra.load_postings(vocab), rb.load_postings(vocab)
+    assert sorted(got) == sorted(want) == vocab
+    for t in vocab:
+        (ia, ta, da), (ib, tb, db) = got[t], want[t]
+        assert ia.dtype == ib.dtype and np.array_equal(ia, ib), t
+        assert np.array_equal(ta, tb) and da == db, t
+        assert np.array_equal(ra.block_max(t), rb.block_max(t)), t
+    assert ra.term_stats(vocab) == rb.term_stats(vocab)
+
+
 def _assert_reader_equiv(idx: str, clean: str, prefix: str = "ne"):
     ra, rb = IndexReader(idx), IndexReader(clean)
     assert ra.n_docs == rb.n_docs and ra.avgdl == rb.avgdl
@@ -55,6 +74,15 @@ def _assert_reader_equiv(idx: str, clean: str, prefix: str = "ne"):
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
     assert got[2] == want[2]
+    _assert_vocab_equiv(ra, rb, clean)
+
+
+def _bases_moved(meta: dict) -> list[int]:
+    """Kept partitions whose docID base moved since the base merge."""
+    d = meta["delta"]
+    return sorted(int(p) for p, v in d["base_bases"].items()
+                  if int(p) not in d["replaced_parts"]
+                  and meta["bases"].get(p, v) != v)
 
 
 @pytest.fixture()
@@ -147,23 +175,68 @@ def test_big_append_folds_overlay_via_splice(tmp_path, ray_session):
     _assert_reader_equiv(idx, clean)
 
 
-def test_base_shift_takes_splice(tmp_path, ray_session, corpus):
+def test_base_shift_takes_overlay(tmp_path, ray_session, corpus):
     """A sip that changes an early partition's doc count shifts every later
-    base, so the overlay cannot apply: the splice runs and its segment
-    files equal a clean build's."""
+    base; the overlay still applies (kept runs are shifted on read), the
+    base files stay untouched and the reader equals a clean build on
+    every term."""
     src, full, cfg = corpus
     idx = str(tmp_path / "idx")
     build_index(str(src), idx, cfg(False))
+    before = _file_digests(idx)
     # ten new urls fetched inside the third time bucket
     early = full.slice(250, 10)
     early = early.set_column(0, "url", pa.array(
         [u + "?refetch" for u in early["url"].to_pylist()], pa.string()))
     pq.write_table(early, str(src / "b.parquet"))
     meta = build_index(str(src), idx, cfg(True))
-    assert meta["phase_sec"]["merge_mode"] == "splice"
+    assert meta["phase_sec"]["merge_mode"] == "delta"
+    assert _bases_moved(meta)
+    assert _file_digests(idx) == before
     clean = str(tmp_path / "clean")
     build_index(str(src), clean, cfg(False))
-    assert _seg_digest(idx) == _seg_digest(clean)
+    _assert_reader_equiv(idx, clean)
+
+
+def test_hash_sip_takes_overlay_then_compacts_exactly(tmp_path, ray_session):
+    """A hash-mode sip into 3 of 16 partitions shifts the later bases and
+    takes the overlay; a following wider sip compacts through the splice
+    to segment files sha256-identical to a clean build."""
+    from miru_ray.functions.hashing import part_for
+    full = generate_pages(0, 900)
+    parts = part_for(full["url"].to_numpy(zero_copy_only=False), 16)
+    late = np.arange(full.num_rows) >= 600
+    sip1 = late & np.isin(parts, [1, 6, 10])
+    sip2 = late & np.isin(parts, [3, 4, 12])
+    src = tmp_path / "wal"
+    src.mkdir()
+    pq.write_table(full.filter(pa.array(~(sip1 | sip2))),
+                   str(src / "a.parquet"))
+    cfg = lambda v: BuildConfig(num_parts=16, num_shards=2,   # noqa: E731
+                                verify_inputs=v)
+    idx = str(tmp_path / "idx")
+    build_index(str(src), idx, cfg(False))
+    before = _file_digests(idx)
+
+    pq.write_table(full.filter(pa.array(sip1)), str(src / "b.parquet"))
+    m1 = build_index(str(src), idx, cfg(True))
+    assert m1["phase_sec"]["merge_mode"] == "delta"
+    assert m1["delta"]["replaced_parts"] == [1, 6, 10]
+    assert _bases_moved(m1)
+    assert _file_digests(idx) == before
+    clean = str(tmp_path / "clean")
+    build_index(str(src), clean, cfg(False))
+    _assert_reader_equiv(idx, clean)
+
+    # 6 of 16 partitions stale: too wide for an overlay, folded by splice
+    pq.write_table(full.filter(pa.array(sip2)), str(src / "c.parquet"))
+    m2 = build_index(str(src), idx, cfg(True))
+    assert m2["phase_sec"]["merge_mode"] == "splice"
+    assert "delta" not in m2
+    clean2 = str(tmp_path / "clean2")
+    build_index(str(src), clean2, cfg(False))
+    assert _file_digests(idx) == _file_digests(clean2)
+    _assert_reader_equiv(idx, clean2)
 
 
 def test_sync_carries_overlay(tmp_path, ray_session, corpus):
@@ -382,6 +455,30 @@ def test_stable_count_repair_takes_overlay(tmp_path, ray_session):
     clean = str(tmp_path / "clean")
     build_index(clean_src, clean, cfg)
     _assert_reader_equiv(idx, clean)
+
+    # removing one url outside the last partition shrinks that partition
+    # and shifts every later base: still the overlay, still exact
+    from miru_ray.functions.hashing import part_for
+    corpus_t = pq.read_table(clean_src)
+    urls = corpus_t["url"].to_numpy(zero_copy_only=False)
+    gone = next(u for u, p in zip(urls, part_for(urls, 16)) if p == 2)
+    meta = repair_index(idx, pa.table({
+        "op": pa.array(["remove"]), "url": pa.array([gone]),
+        "warc_ts": pa.array([np.datetime64("2100-01-01", "us")],
+                            pa.timestamp("us")),
+        "text": pa.array([None], pa.string()),
+        "lang": pa.array([None], pa.string())}))
+    assert meta["phase_sec"]["merge_mode"] == "delta"
+    assert 2 in meta["delta"]["replaced_parts"] and _bases_moved(meta)
+    assert _file_digests(idx) == before          # base still untouched
+    removed_src = str(tmp_path / "removed_src")
+    os.makedirs(removed_src)
+    pq.write_table(corpus_t.filter(pc.not_equal(corpus_t["url"], gone)),
+                   os.path.join(removed_src, "corpus.parquet"))
+    removed = str(tmp_path / "removed")
+    build_index(removed_src, removed, cfg)
+    assert IndexReader(removed).n_docs == IndexReader(clean).n_docs - 1
+    _assert_reader_equiv(idx, removed)
 
 
 def test_resync_after_sip_skips_base_copy(tmp_path, ray_session, corpus):
