@@ -29,7 +29,8 @@ import numpy as np
 __all__ = [
     "encode_ids", "decode_ids", "decode_first_last", "encode_tfs",
     "decode_tfs", "intersect_sorted", "union_sorted",
-    "diff_sorted", "block_max_tf", "BLOCK_SIZE", "split_runs", "weave_runs",
+    "diff_sorted", "block_max_tf", "BLOCK_SIZE", "shift_runs", "split_runs",
+    "weave_runs",
 ]
 
 # posting entries per block-max block (WAND pruning granularity; the
@@ -207,24 +208,33 @@ def decode_tfs(blob: bytes | memoryview) -> np.ndarray:
 #     ``parts``/``pdfs`` columns: one run per contributing partition, in
 #     part order == docID order) ---
 
+def shift_runs(ids: np.ndarray, parts, pdfs, shift: dict) -> np.ndarray:
+    """Add ``shift[p]`` (a docID base move, ``new_base - old_base``) to the
+    ids of each partition-``p`` run of one decoded posting, runs given by
+    its run directory (``parts``/``pdfs``). Positions are unchanged, so a
+    posting's tfs and block-max stay valid. Returns ``ids`` itself when no
+    run moves."""
+    d = [shift.get(int(p), 0) for p in parts]
+    if not any(d):
+        return ids
+    return (ids.astype(np.int64) + np.repeat(np.asarray(d, np.int64), pdfs)
+            ).astype(np.uint64)
+
+
 def split_runs(ids: np.ndarray, tfs: np.ndarray | None, parts, pdfs,
                gone=frozenset(), shift: dict | None = None) -> list[tuple]:
     """Split one decoded posting into ``(part, ids, tfs)`` runs by its run
-    directory, dropping the runs of ``gone`` partitions and adding
-    ``shift[p]`` (a docID base move, ``new_base - old_base``) to each kept
-    run's ids. ``tfs`` may be None (ids-only reads)."""
-    bounds = np.concatenate([[0], np.cumsum(pdfs)]).astype(np.int64)
-    runs = []
-    for r, p in enumerate(parts):
-        p = int(p)
-        if p in gone:
-            continue
-        seg = slice(bounds[r], bounds[r + 1])
-        rid = ids[seg]
-        d = shift.get(p, 0) if shift else 0
-        if d:
-            rid = (rid.astype(np.int64) + d).astype(np.uint64)
-        runs.append((p, rid, None if tfs is None else tfs[seg]))
+    directory, dropping the runs of ``gone`` partitions and shifting each
+    kept run by ``shift`` (see shift_runs). ``tfs`` may be None (ids-only
+    reads)."""
+    if shift:
+        ids = shift_runs(ids, parts, pdfs, shift)
+    runs, lo = [], 0
+    for p, n in zip(parts, pdfs):   # a handful of runs: plain ints beat numpy
+        hi = lo + n
+        if p not in gone:
+            runs.append((p, ids[lo:hi], None if tfs is None else tfs[lo:hi]))
+        lo = hi
     return runs
 
 

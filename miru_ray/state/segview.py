@@ -22,8 +22,10 @@ read ONCE and cached in memory, and ONE base pass over the thin
 directories only for terms that can be affected — terms whose run set
 reaches min(replaced ∪ shifted parts). Every other term takes the
 byte-identical passthrough the clean path takes: same filtered read, same
-columns, no blob re-decode. The v4 per-run cf (``pcfs``) keeps stat resolution
-decode-free.
+columns, no blob re-decode. A resolved term with no replaced run and no
+overlay row is only shifted: its tfs keep their positions, so its stored
+df and block-max are served as stored and only its ids are re-based. The
+v4 per-run cf (``pcfs``) keeps stat resolution decode-free.
 
 Ordering invariant used when weaving: partition docID ranges are
 disjoint and ascend with part id, so runs sorted by part concatenate
@@ -56,6 +58,33 @@ def scan_shard_files(d: str) -> dict[int, str]:
             for f in glob.glob(os.path.join(d, "shard=*.parquet"))}
 
 
+class _RunDirectory:
+    """term -> (parts, pdfs, pcfs) for the base terms of one shard whose
+    runs reach ``reach``. Built with a few vectorized passes over the flat
+    list columns (no per-value ``to_pylist`` boxing); a lookup slices one
+    row's runs out of the flat values."""
+
+    def __init__(self, t: pa.Table, reach: int):
+        cols = [t[c].combine_chunks() for c in ("parts", "pdfs", "pcfs")]
+        offs = cols[0].offsets.to_numpy()
+        flat = cols[0].values.to_numpy()
+        # runs are part-sorted: a row reaches iff its last part does
+        ends = offs[1:]
+        last = np.where(ends > offs[:-1], flat[np.maximum(ends - 1, 0)], -1)
+        rows = np.nonzero(last >= reach)[0]
+        # to_numpy().tolist(): ~15x cheaper than to_pylist on strings
+        self._row = dict(zip(t["term"].take(rows).to_numpy().tolist(),
+                             rows.tolist()))
+        self._cols = [(c.offsets.to_numpy().tolist(),
+                       c.values.to_numpy().tolist()) for c in cols]
+
+    def get(self, term: str) -> tuple[list, list, list] | None:
+        i = self._row.get(term)
+        if i is None:
+            return None
+        return tuple(v[o[i]:o[i + 1]] for o, v in self._cols)
+
+
 def _empty_stats() -> pa.Table:
     return pa.table({"term": pa.array([], pa.string()),
                      "df": pa.array([], pa.int64()),
@@ -80,11 +109,16 @@ class SegView:
         #               reach min(replaced ∪ shifted) — the only terms that
         #               can need run surgery or part-interleaved weaving
         self._gen_cache: dict[int, pa.Table | None] = {}
-        self._res_cache: dict[int, dict[str, tuple[list, list, list]]] = {}
+        self._res_cache: dict[int, _RunDirectory | dict] = {}
         if delta:
             gdir = delta_gen_dir(index_dir, int(delta["gen"]))
             self.gen_files = scan_shard_files(gdir)
             self.replaced = {int(p) for p in delta["replaced_parts"]}
+            if delta.get("base_bases") and bases is None:
+                # without the current bases a moved run cannot be shifted:
+                # its docIDs would be off by the move
+                raise ValueError("a delta with base_bases needs the index's "
+                                 "current bases")
             now = {int(p): int(v) for p, v in (bases or {}).items()}
             for p, v in (delta.get("base_bases") or {}).items():
                 p = int(p)
@@ -126,20 +160,15 @@ class SegView:
                 else None
         return self._gen_cache[shard]
 
-    def _res(self, shard: int) -> dict[str, tuple[list, list, list]]:
+    def _res(self, shard: int) -> _RunDirectory | dict:
         hit = self._res_cache.get(shard)
         if hit is None:
-            hit = {}
             f = self.files.get(shard)
+            hit = {}
             if f is not None and self._reach is not None:
-                t = pq.read_table(f, columns=["term", "parts", "pdfs",
-                                              "pcfs"])
-                mr = self._reach
-                for term, parts, pdfs, pcfs in zip(
-                        t["term"].to_pylist(), t["parts"].to_pylist(),
-                        t["pdfs"].to_pylist(), t["pcfs"].to_pylist()):
-                    if parts and parts[-1] >= mr:   # runs are part-sorted
-                        hit[term] = (parts, pdfs, pcfs)
+                hit = _RunDirectory(pq.read_table(
+                    f, columns=["term", "parts", "pdfs", "pcfs"]),
+                    self._reach)
             self._res_cache[shard] = hit
         return hit
 
@@ -209,8 +238,8 @@ class SegView:
         globally sorted. A term untouched by the overlay costs exactly
         what the plain path costs (same read, no re-encode)."""
         from miru_ray.functions.postings import (block_max_tf, decode_ids,
-                                                 decode_tfs, split_runs,
-                                                 weave_runs)
+                                                 decode_tfs, shift_runs,
+                                                 split_runs, weave_runs)
         want_tfs = want_tfs or want_bmax   # a recomputed bmax needs the tfs
         cols = ["term", "df", "docids"]
         if want_tfs:
@@ -240,12 +269,16 @@ class SegView:
         gen = self._gen_rows(shard, filters)
         gen_left = (dict(zip(gen["term"].to_pylist(), range(gen.num_rows)))
                     if gen is not None else {})
+        g = ({"docids": gen["docids"].to_numpy().tolist(),
+              "tfs": gen["tfs"].to_numpy().tolist(),
+              "parts": gen["parts"].to_pylist(),
+              "pdfs": gen["pdfs"].to_pylist()} if gen is not None else {})
 
         def gen_runs(gi: int):
             return split_runs(
-                decode_ids(gen["docids"][gi].as_py()),
-                decode_tfs(gen["tfs"][gi].as_py()) if want_tfs else None,
-                gen["parts"][gi].as_py(), gen["pdfs"][gi].as_py())
+                decode_ids(g["docids"][gi]),
+                decode_tfs(g["tfs"][gi]) if want_tfs else None,
+                g["parts"][gi], g["pdfs"][gi])
 
         def emit(term, runs) -> dict | None:
             if not runs:
@@ -258,41 +291,32 @@ class SegView:
             return row
 
         out: list[dict] = []
-        if base is not None:
-            for i in range(base.num_rows):
-                term = base["term"][i].as_py()
-                r = res.get(term)
-                gi = gen_left.pop(term, None)
-                if r is None and gi is None:
-                    # untouched: identical to the plain path
-                    row = {"term": term, "df": int(base["df"][i].as_py()),
-                           "ids": decode_ids(base["docids"][i].as_py()),
-                           "tfs": (decode_tfs(base["tfs"][i].as_py())
-                                   if want_tfs else None)}
-                    if want_bmax:
-                        row["bmax"] = np.frombuffer(
-                            base["bmax"][i].as_py(), dtype="<u2") \
-                            .astype(np.int64)
-                    out.append(row)
-                    continue
-                ids = decode_ids(base["docids"][i].as_py())
-                tfs = (decode_tfs(base["tfs"][i].as_py())
-                       if want_tfs else None)
-                if r is None:
-                    # all base runs kept unshifted and every one precedes
-                    # every overlay run (runs never reach the resolution
-                    # threshold) — keep the blob whole as one leading
-                    # pseudo-run
-                    runs = [(-1, ids, tfs)]
-                else:
-                    parts, pdfs, _ = r
-                    runs = split_runs(ids, tfs, parts, pdfs, self.replaced,
-                                      self.shift)
-                if gi is not None:
-                    runs.extend(gen_runs(gi))
-                row = emit(term, runs)
-                if row is not None:
-                    out.append(row)
+        for row in (plain_rows(base) if base is not None else []):
+            term = row["term"]
+            r = res.get(term)
+            gi = gen_left.pop(term, None)
+            if r is None and gi is None:
+                out.append(row)                   # untouched: the plain row
+                continue
+            if gi is None and self.replaced.isdisjoint(r[0]):
+                # every run kept, only moved: tfs sit at the same positions,
+                # so the stored df and block-max hold
+                row["ids"] = shift_runs(row["ids"], r[0], r[1], self.shift)
+                out.append(row)
+                continue
+            if r is None:
+                # all base runs kept unshifted and every one precedes every
+                # overlay run (runs never reach the resolution threshold) —
+                # keep the blob whole as one leading pseudo-run
+                runs = [(-1, row["ids"], row["tfs"])]
+            else:
+                runs = split_runs(row["ids"], row["tfs"], r[0], r[1],
+                                  self.replaced, self.shift)
+            if gi is not None:
+                runs.extend(gen_runs(gi))
+            row = emit(term, runs)
+            if row is not None:
+                out.append(row)
         for term, gi in gen_left.items():         # overlay-only terms
             row = emit(term, gen_runs(gi))
             if row is not None:

@@ -254,30 +254,21 @@ def test_sync_carries_overlay(tmp_path, ray_session, corpus):
     _assert_reader_equiv(dst, clean)
 
 
-def test_segview_drops_dead_terms(tmp_path):
-    """A term whose every run lives in replaced partitions and that has no
-    overlay row must vanish from stats, terms and postings."""
+def _seg_row(term, runs):   # runs: [(part, ids, tfs)]
     from miru_ray.functions.postings import encode_ids, encode_tfs, block_max_tf
-    from miru_ray.state.segview import SegView
+    ids = np.concatenate([r[1] for r in runs]).astype(np.uint64)
+    tfs = np.concatenate([r[2] for r in runs]).astype(np.int64)
+    return {
+        "term": term, "shard": 0, "df": len(ids), "cf": int(tfs.sum()),
+        "docids": encode_ids(ids), "tfs": encode_tfs(tfs),
+        "bmax": block_max_tf(tfs),
+        "parts": [r[0] for r in runs],
+        "pdfs": [len(r[1]) for r in runs],
+        "pcfs": [int(r[2].sum()) for r in runs],
+    }
 
-    def row(term, runs):   # runs: [(part, ids, tfs)]
-        ids = np.concatenate([r[1] for r in runs]).astype(np.uint64)
-        tfs = np.concatenate([r[2] for r in runs]).astype(np.int64)
-        return {
-            "term": term, "shard": 0, "df": len(ids), "cf": int(tfs.sum()),
-            "docids": encode_ids(ids), "tfs": encode_tfs(tfs),
-            "bmax": block_max_tf(tfs),
-            "parts": [r[0] for r in runs],
-            "pdfs": [len(r[1]) for r in runs],
-            "pcfs": [int(r[2].sum()) for r in runs],
-        }
 
-    base_rows = [
-        row("alive", [(0, np.array([1, 2]), np.array([1, 1])),
-                      (1, np.array([10, 11]), np.array([2, 1]))]),
-        row("dead", [(1, np.array([12]), np.array([3]))]),
-    ]
-    gen_rows = [row("fresh", [(1, np.array([20, 21]), np.array([1, 2]))])]
+def _write_seg_pair(tmp_path, base_rows, gen_rows) -> str:
     seg_dir = str(tmp_path / "segments")
     gen_dir = str(tmp_path / "segments_delta" / "gen=00000")
     os.makedirs(seg_dir), os.makedirs(gen_dir)
@@ -285,6 +276,21 @@ def test_segview_drops_dead_terms(tmp_path):
                    os.path.join(seg_dir, "shard=00000.parquet"))
     pq.write_table(pa.Table.from_pylist(gen_rows),
                    os.path.join(gen_dir, "shard=00000.parquet"))
+    return seg_dir
+
+
+def test_segview_drops_dead_terms(tmp_path):
+    """A term whose every run lives in replaced partitions and that has no
+    overlay row must vanish from stats, terms and postings."""
+    from miru_ray.state.segview import SegView
+    base_rows = [
+        _seg_row("alive", [(0, np.array([1, 2]), np.array([1, 1])),
+                           (1, np.array([10, 11]), np.array([2, 1]))]),
+        _seg_row("dead", [(1, np.array([12]), np.array([3]))]),
+    ]
+    gen_rows = [_seg_row("fresh", [(1, np.array([20, 21]),
+                                    np.array([1, 2]))])]
+    seg_dir = _write_seg_pair(tmp_path, base_rows, gen_rows)
     view = SegView(seg_dir, {"gen": 0, "replaced_parts": [1]},
                    str(tmp_path))
     stats = view.stats(0, None)
@@ -298,6 +304,40 @@ def test_segview_drops_dead_terms(tmp_path):
     assert rows["alive"]["ids"].tolist() == [1, 2]
     assert rows["fresh"]["ids"].tolist() == [20, 21]
     assert rows["fresh"]["tfs"].tolist() == [1, 2]
+
+
+def test_segview_shifts_moved_runs(tmp_path):
+    """Part 1 grew by 3 docs since the base was merged, so part 2's base
+    runs move up by 3: a term with only kept runs is shifted and keeps its
+    stored df and block-max; a term woven with an overlay row is shifted
+    and re-derived. A delta that records base-time bases cannot be read
+    without the current ones."""
+    from miru_ray.state.segview import SegView
+    base_rows = [
+        _seg_row("moved", [(0, np.array([1, 2]), np.array([1, 4])),
+                           (2, np.array([30, 35]), np.array([2, 1]))]),
+        _seg_row("woven", [(1, np.array([11]), np.array([1])),
+                           (2, np.array([31]), np.array([5]))]),
+    ]
+    gen_rows = [_seg_row("woven", [(1, np.array([12, 14]),
+                                    np.array([2, 3]))])]
+    seg_dir = _write_seg_pair(tmp_path, base_rows, gen_rows)
+    delta = {"gen": 0, "replaced_parts": [1],
+             "base_bases": {"0": 0, "1": 10, "2": 30}}
+    with pytest.raises(ValueError):
+        SegView(seg_dir, delta, str(tmp_path))
+    view = SegView(seg_dir, delta, str(tmp_path),
+                   {"0": 0, "1": 10, "2": 33})
+    rows = {r["term"]: r for r in view.postings(0, None, want_bmax=True)}
+    assert rows["moved"]["ids"].tolist() == [1, 2, 33, 38]
+    assert rows["moved"]["tfs"].tolist() == [1, 4, 2, 1]
+    assert rows["moved"]["df"] == 4 and rows["moved"]["bmax"].tolist() == [4]
+    assert rows["woven"]["ids"].tolist() == [12, 14, 34]
+    assert rows["woven"]["tfs"].tolist() == [2, 3, 5]
+    assert rows["woven"]["bmax"].tolist() == [5]
+    stats = view.stats(0, None)
+    assert dict(zip(stats["term"].to_pylist(), stats["df"].to_pylist())) \
+        == {"moved": 4, "woven": 3}
 
 
 def test_crash_between_gen_commit_and_meta_is_recoverable(tmp_path,
