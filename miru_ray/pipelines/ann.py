@@ -20,6 +20,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -46,7 +47,7 @@ EMBED_NEAR_DUP_THRESHOLD = 0.45
 
 _LSH_PLANES = 6   # 64 buckets; multi-probe Hamming<=2 → ~1/3 of space scanned
 _NEAR_DUP_MIN_CHUNKS = 8
-_NEAR_DUP_CHUNK_BYTES = 256 << 20   # two chunks (~512 MB f64) per worker
+_NEAR_DUP_CHUNK_BYTES = 256 << 20   # a 4-pair task holds ≤5 chunks (~1.3 GB f64)
 _CACHE_ROOT = "/tmp/miru_ray_ann"
 
 
@@ -172,67 +173,45 @@ def _load_norm_chunk(root: str, c: int) -> tuple[np.ndarray, np.ndarray]:
     return ids.astype(np.int64), mat / nrm[:, None]
 
 
-class ChunkPairSims:
-    """Actor-pool exact-cosine scorer for one (ci, cj) chunk pair per
-    input row. Keeps a small LRU of normalized chunks so the row-major
-    pair list ((0,0..B-1), (1,1..B-1), ...) reloads each chunk O(1)
-    times per actor instead of O(B)."""
-
-    _LRU_MAX = 6   # chunks; 2 live + reuse headroom, bounded per worker
-
-    def __init__(self, root: str, threshold: float):
-        from collections import OrderedDict
-        self.root = root
-        self.threshold = threshold
-        self._lru: "OrderedDict[int, tuple[np.ndarray, np.ndarray]]" = \
-            OrderedDict()
-
-    def _chunk(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        got = self._lru.get(c)
-        if got is None:
-            got = _load_norm_chunk(self.root, c)
-            self._lru[c] = got
-            if len(self._lru) > self._LRU_MAX:
-                self._lru.popitem(last=False)
-        else:
-            self._lru.move_to_end(c)
-        return got
-
-    def _one(self, ci: int, cj: int) -> pa.Table:
-        ids_i, m_i = self._chunk(ci)
-        ids_j, m_j = (ids_i, m_i) if ci == cj else self._chunk(cj)
-        empty = pa.table({"vec_a": pa.array([], pa.int64()),
-                          "vec_b": pa.array([], pa.int64()),
-                          "sim": pa.array([], pa.float64())})
+def _chunk_pair_sims(batch: pa.Table, *, root: str,
+                     threshold: float) -> pa.Table:
+    """Exact-cosine scorer for one (ci, cj) chunk pair per input row — a
+    stateless ``map_batches`` task that loads each distinct chunk of its
+    batch once. Over the row-major pair list ((0,0..B-1), (1,1..B-1), ...)
+    a batch of 4 pairs touches at most 5 chunks (40 loads for B=8's 36
+    pairs)."""
+    from miru_ray.functions.runtime import limit_worker_threads
+    limit_worker_threads()
+    ci = batch["ci"].to_numpy()
+    cj = batch["cj"].to_numpy()
+    chunks = {c: _load_norm_chunk(root, c)
+              for c in np.unique(np.concatenate([ci, cj])).tolist()}
+    va, vb, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    for i, j in zip(ci.tolist(), cj.tolist()):
+        (ids_i, m_i), (ids_j, m_j) = chunks[i], chunks[j]
         if not len(ids_i) or not len(ids_j):
-            return empty
+            continue
         sims = m_i @ m_j.T
-        rows, cols = np.nonzero(sims >= self.threshold)
-        a, b = ids_i[rows], ids_j[cols]
-        if ci == cj:   # within a chunk every pair appears twice: keep a<b
+        rows, cols = np.nonzero(sims >= threshold)
+        a, b, s = ids_i[rows], ids_j[cols], sims[rows, cols]
+        if i == j:   # within a chunk every pair appears twice: keep a<b
             keep = a < b
-            a, b, s = a[keep], b[keep], sims[rows, cols][keep]
-        else:          # across chunks each pair appears once: normalize order
-            s = sims[rows, cols]
+            a, b, s = a[keep], b[keep], s[keep]
+        else:        # across chunks each pair appears once: normalize order
             a, b = np.minimum(a, b), np.maximum(a, b)
-        return pa.table({"vec_a": pa.array(a, pa.int64()),
-                         "vec_b": pa.array(b, pa.int64()),
-                         "sim": pa.array(s, pa.float64())})
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from miru_ray.functions.runtime import limit_worker_threads
-        limit_worker_threads()
-        ci = batch["ci"].to_numpy()
-        cj = batch["cj"].to_numpy()
-        return pa.concat_tables([self._one(int(i), int(j))
-                                 for i, j in zip(ci, cj)])
+        va.append(a)
+        vb.append(b)
+        vs.append(s)
+    return pa.table({"vec_a": pa.array(np.concatenate(va), pa.int64()),
+                     "vec_b": pa.array(np.concatenate(vb), pa.int64()),
+                     "sim": pa.array(np.concatenate(vs), pa.float64())})
 
 
 def embedding_near_dups_ds(sf_dir: str,
                            threshold: float = EMBED_NEAR_DUP_THRESHOLD):
     """Lazy Dataset of EXACT (vec_a, vec_b, sim) near-dup pairs — the
     block-pair join expressed as a Dataset over the B(B+1)/2 chunk-pair
-    index, scored by a ChunkPairSims actor pool. Matches stream out
+    index, scored by ``_chunk_pair_sims`` tasks. Matches stream out
     through the executor with backpressure: the driver never holds the
     pair futures or partial tables (the r4 verdict's remaining O(C²)
     driver loop), and a downstream consumer (write_parquet, distributed
@@ -240,10 +219,9 @@ def embedding_near_dups_ds(sf_dir: str,
     B = near_dup_chunk_count(sf_dir)
     root = norm_chunks(sf_dir, B)
     pairs = [{"ci": i, "cj": j} for i in range(B) for j in range(i, B)]
-    return (rd.from_items(pairs)
-              .map_batches(ChunkPairSims, batch_format="pyarrow",
-                           batch_size=4, concurrency=(1, 8),
-                           fn_constructor_args=(root, threshold)))
+    return rd.from_items(pairs).map_batches(
+        functools.partial(_chunk_pair_sims, root=root, threshold=threshold),
+        batch_format="pyarrow", batch_size=4)
 
 
 def embedding_near_dups(sf_dir: str, threshold: float = EMBED_NEAR_DUP_THRESHOLD) -> pa.Table:
@@ -251,7 +229,7 @@ def embedding_near_dups(sf_dir: str, threshold: float = EMBED_NEAR_DUP_THRESHOLD
     (vec_a < vec_b, sim ≥ threshold, rounded 6 dp; sorted by pair).
 
     Distributed block-pair join over cached vec_id%B chunks: the chunk
-    pairs stream through :func:`embedding_near_dups_ds`'s actor pool —
+    pairs stream through :func:`embedding_near_dups_ds`'s tasks —
     no corpus broadcast, no driver-side matrix, no driver-held future
     list (VERDICT r1 #3 + r4 "What's wrong" #3); only the MATCHES (the
     result, bounded by the answer size) are collected here. B is
@@ -350,7 +328,6 @@ def embedding_near_dups_lsh_ds(sf_dir: str, threshold: float = EMBED_NEAR_DUP_TH
     verify, so a pair colliding in several hash tables is verified once
     and nothing pair-shaped ever lands on the driver (VERDICT r4 #1,
     applied to the embedding twin)."""
-    import functools
     import ray as _ray
     ncpu = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
     num_pair_parts = max(2 * ncpu, 16)

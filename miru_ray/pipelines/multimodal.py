@@ -2,9 +2,10 @@
 
 The training-data-pipeline family: media rides through the engine as
 ``binary`` payload columns with typed metadata columns, and every
-decode / feature-extract / resize / frame-sample step is an actor-pool
-``map_batches`` stage (model/codec loaded once per actor — the
-StrutModelScorer shape, miru-stream-plugins/.../strut/StrutModelScorer.java).
+decode / feature-extract / resize / frame-sample step is a plain
+``map_batches`` function run as a task. No step holds model or codec
+state worth keeping warm, so none runs as an actor pool (an idle pool
+actor keeps its CPU until the finished dataset is collected).
 
 Every media lane has a REAL codec exercised end-to-end on genuine
 compressed/container bytes:
@@ -25,15 +26,16 @@ deterministic fake: blobs carry a self-describing MMF1/MMA1 header +
 seeded payload, and ``_decode_blob``/``_decode_audio`` raise
 ``NotImplementedError`` for them so the remaining seam is explicit and
 swappable for PIL/ffmpeg. Everything around decode — schema, batch
-sizing for MB-scale rows, actor signatures, zero-copy binary handling,
+sizing for MB-scale rows, stage signatures, zero-copy binary handling,
 output layout — is real and tested.
 
 Batch sizes stay SMALL (media rows are MBs): ``MEDIA_BATCH_SIZE`` bounds
-batch × concurrency below worker heap (SURVEY.md §7.5 "Wide docs").
+the rows one task decodes below worker heap (SURVEY.md §7.5 "Wide docs").
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
@@ -41,13 +43,13 @@ import pyarrow as pa
 
 import ray.data as rd
 
-__all__ = ["media_table", "MediaDecoder", "ImageFeatures", "FrameSampler",
-           "image_features_pipeline", "frame_sample_pipeline",
-           "audio_table", "AudioFeatures", "audio_features_pipeline",
+__all__ = ["media_table", "image_features_pipeline", "frame_sample_pipeline",
+           "audio_table", "audio_features_pipeline",
            "MEDIA_BATCH_SIZE", "MEDIA_SCHEMA"]
 
 MEDIA_BATCH_SIZE = 64
 _MAGIC = b"MMF1"
+_HIST_EDGES = np.linspace(0, 256, 16 + 1)   # 16-bin intensity histogram
 
 MEDIA_SCHEMA = pa.schema([
     ("media_id", pa.int64()),
@@ -156,111 +158,82 @@ def _decode_blob(fmt: str, payload: bytes) -> np.ndarray:
         raise NotImplementedError(
             f"codec for format {fmt!r} not available in this environment; "
             "swap _decode_blob for a PIL/ffmpeg-backed implementation")
-    assert payload[:4] == _MAGIC, "bad media magic"
+    if payload[:4] != _MAGIC:
+        raise ValueError("bad media magic")
+    if len(payload) < 16:
+        raise ValueError("media header shorter than 16 bytes")
     w, h, frames = struct.unpack("<iii", payload[4:16])
     arr = np.frombuffer(payload, dtype=np.uint8, offset=16)
     return arr.reshape(frames, h, w)
 
 
-class MediaDecoder:
-    """Actor-pool decode stage: payload → decoded dims + mean intensity.
-    Codec tables are 'loaded' once per actor in __init__."""
-
-    def __init__(self) -> None:
-        self._decode = _decode_blob  # stand-in for codec/library init
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        means, npix = [], []
-        for fmt, payload in zip(batch["format"].to_pylist(),
-                                batch["payload"].to_pylist()):
-            arr = self._decode(fmt, payload)
-            means.append(float(arr.mean()))
-            npix.append(int(arr.size))
-        out = batch.drop_columns(["payload"])   # drop MB-scale column early
-        out = out.append_column("mean_intensity",
-                                pa.array(np.round(means, 6), pa.float64()))
-        return out.append_column("n_pixels", pa.array(npix, pa.int64()))
-
-
-class ImageFeatures:
-    """Actor-pool feature extraction: decoded image → 16-bin intensity
-    histogram feature vector (list<float>) + resize-to-8x8 thumbnail mean.
+def _image_features(batch: pa.Table) -> pa.Table:
+    """Feature extraction: decoded image → 16-bin intensity histogram
+    feature vector (list<float>) + resize-to-8x8 thumbnail mean.
     Deterministic stand-in for a CNN embedding stage."""
-
-    def __init__(self, bins: int = 16):
-        self.bins = bins
-        self.edges = np.linspace(0, 256, bins + 1)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        feats, thumb_means = [], []
-        for fmt, payload in zip(batch["format"].to_pylist(),
-                                batch["payload"].to_pylist()):
-            arr = _decode_blob(fmt, payload)
-            hist, _ = np.histogram(arr, bins=self.edges)
-            feats.append((hist / max(1, arr.size)).astype(np.float32))
-            # "resize": average-pool first frame to 8x8 via reshape-free strides
-            f0 = arr[0].astype(np.float64)
-            ys = np.linspace(0, f0.shape[0], 9).astype(int)
-            xs = np.linspace(0, f0.shape[1], 9).astype(int)
-            pooled = [[f0[ys[i]:max(ys[i + 1], ys[i] + 1),
-                          xs[j]:max(xs[j + 1], xs[j] + 1)].mean()
-                       for j in range(8)] for i in range(8)]
-            thumb_means.append(round(float(np.mean(pooled)), 6))
-        return pa.table({
-            "media_id": batch["media_id"],
-            "feature": pa.array([f.tolist() for f in feats],
-                                pa.list_(pa.float32())),
-            "thumb_mean": pa.array(thumb_means, pa.float64()),
-        })
+    feats, thumb_means = [], []
+    for fmt, payload in zip(batch["format"].to_pylist(),
+                            batch["payload"].to_pylist()):
+        arr = _decode_blob(fmt, payload)
+        hist, _ = np.histogram(arr, bins=_HIST_EDGES)
+        feats.append((hist / max(1, arr.size)).astype(np.float32))
+        # "resize": average-pool first frame to 8x8 via reshape-free strides
+        f0 = arr[0].astype(np.float64)
+        ys = np.linspace(0, f0.shape[0], 9).astype(int)
+        xs = np.linspace(0, f0.shape[1], 9).astype(int)
+        pooled = [[f0[ys[i]:max(ys[i + 1], ys[i] + 1),
+                      xs[j]:max(xs[j + 1], xs[j] + 1)].mean()
+                   for j in range(8)] for i in range(8)]
+        thumb_means.append(round(float(np.mean(pooled)), 6))
+    return pa.table({
+        "media_id": batch["media_id"],
+        "feature": pa.array([f.tolist() for f in feats],
+                            pa.list_(pa.float32())),
+        "thumb_mean": pa.array(thumb_means, pa.float64()),
+    })
 
 
-class FrameSampler:
-    """Actor-pool frame sampling for video rows: every k-th frame's mean
-    intensity (the frame-sample primitive; deterministic)."""
-
-    def __init__(self, every_k: int = 4):
-        self.k = every_k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, frame_idx, means = [], [], []
-        for mid, fmt, payload in zip(batch["media_id"].to_pylist(),
-                                     batch["format"].to_pylist(),
-                                     batch["payload"].to_pylist()):
-            arr = _decode_blob(fmt, payload)
-            for fi in range(0, arr.shape[0], self.k):
-                ids.append(mid)
-                frame_idx.append(fi)
-                means.append(round(float(arr[fi].mean()), 6))
-        return pa.table({
-            "media_id": pa.array(ids, pa.int64()),
-            "frame_idx": pa.array(frame_idx, pa.int64()),
-            "frame_mean": pa.array(means, pa.float64()),
-        })
+def _sample_frames(batch: pa.Table, *, every_k: int) -> pa.Table:
+    """Frame sampling for video rows: every k-th frame's mean intensity
+    (the frame-sample primitive; deterministic)."""
+    ids, frame_idx, means = [], [], []
+    for mid, fmt, payload in zip(batch["media_id"].to_pylist(),
+                                 batch["format"].to_pylist(),
+                                 batch["payload"].to_pylist()):
+        arr = _decode_blob(fmt, payload)
+        for fi in range(0, arr.shape[0], every_k):
+            ids.append(mid)
+            frame_idx.append(fi)
+            means.append(round(float(arr[fi].mean()), 6))
+    return pa.table({
+        "media_id": pa.array(ids, pa.int64()),
+        "frame_idx": pa.array(frame_idx, pa.int64()),
+        "frame_mean": pa.array(means, pa.float64()),
+    })
 
 
 def image_features_pipeline(n_media: int = 200) -> pa.Table:
-    """media → decode → features, as actor-pool map_batches stages."""
+    """media → decode → features, as a map_batches task stage."""
     ds = rd.from_arrow(media_table(n_media))
-    feats = ds.map_batches(ImageFeatures, batch_format="pyarrow",
-                           batch_size=MEDIA_BATCH_SIZE, concurrency=(1, 2))
+    feats = ds.map_batches(_image_features, batch_format="pyarrow",
+                           batch_size=MEDIA_BATCH_SIZE)
     out = feats.to_pandas().sort_values("media_id").reset_index(drop=True)
     return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def frame_sample_pipeline(n_media: int = 200, every_k: int = 4) -> pa.Table:
-    """media → filter videos → frame-sample (actor pool)."""
+    """media → filter videos → frame-sample (map_batches tasks)."""
     import pyarrow.compute as pc
     ds = rd.from_arrow(media_table(n_media))
     ds = ds.map_batches(lambda t: t.filter(pc.equal(t["kind"], "video")),
                         batch_format="pyarrow")
-    frames = ds.map_batches(FrameSampler, batch_format="pyarrow",
-                            batch_size=MEDIA_BATCH_SIZE, concurrency=(1, 2),
-                            fn_constructor_kwargs={"every_k": every_k})
+    frames = ds.map_batches(functools.partial(_sample_frames, every_k=every_k),
+                            batch_format="pyarrow", batch_size=MEDIA_BATCH_SIZE)
     out = frames.to_pandas().sort_values(["media_id", "frame_idx"]).reset_index(drop=True)
     return pa.Table.from_pandas(out, preserve_index=False)
 
 
-# --- audio (same binary-column + actor-pool pattern; PCM stand-in) -------
+# --- audio (same binary-column + task pattern; PCM stand-in) -------------
 
 _AUDIO_MAGIC = b"MMA1"
 
@@ -324,45 +297,42 @@ def _decode_audio(fmt: str, payload: bytes) -> tuple[int, np.ndarray]:
         raise NotImplementedError(
             f"codec for format {fmt!r} not available in this environment; "
             "swap _decode_audio for a soundfile/ffmpeg-backed implementation")
-    assert payload[:4] == _AUDIO_MAGIC, "bad audio magic"
+    if payload[:4] != _AUDIO_MAGIC:
+        raise ValueError("bad audio magic")
+    if len(payload) < 12:
+        raise ValueError("audio header shorter than 12 bytes")
     sr, n = struct.unpack("<ii", payload[4:12])
     return sr, np.frombuffer(payload, dtype=np.int16, offset=12, count=n)
 
 
-class AudioFeatures:
-    """Actor-pool audio feature extraction: PCM → duration, RMS energy,
-    zero-crossing rate, peak amplitude. Deterministic stand-in for a
-    wav2vec-style embedding stage (same actor shape: model in __init__,
-    batches in __call__)."""
-
-    def __init__(self) -> None:
-        self._decode = _decode_audio  # stand-in for codec/model init
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        dur, rms, zcr, peak = [], [], [], []
-        for fmt, payload in zip(batch["format"].to_pylist(),
-                                batch["payload"].to_pylist()):
-            sr, x = self._decode(fmt, payload)
-            xf = x.astype(np.float64) / 32768.0
-            dur.append(round(len(x) / sr, 6))
-            rms.append(round(float(np.sqrt(np.mean(xf * xf))), 6))
-            zcr.append(round(float(np.mean(np.signbit(xf[1:])
-                                           != np.signbit(xf[:-1]))), 6))
-            peak.append(round(float(np.abs(xf).max()), 6))
-        return pa.table({
-            "media_id": batch["media_id"],
-            "duration_s": pa.array(dur, pa.float64()),
-            "rms": pa.array(rms, pa.float64()),
-            "zcr": pa.array(zcr, pa.float64()),
-            "peak": pa.array(peak, pa.float64()),
-        })
+def _audio_features(batch: pa.Table) -> pa.Table:
+    """Audio feature extraction: PCM → duration, RMS energy, zero-crossing
+    rate, peak amplitude. Deterministic stand-in for a wav2vec-style
+    embedding stage."""
+    dur, rms, zcr, peak = [], [], [], []
+    for fmt, payload in zip(batch["format"].to_pylist(),
+                            batch["payload"].to_pylist()):
+        sr, x = _decode_audio(fmt, payload)
+        xf = x.astype(np.float64) / 32768.0
+        dur.append(round(len(x) / sr, 6))
+        rms.append(round(float(np.sqrt(np.mean(xf * xf))), 6))
+        zcr.append(round(float(np.mean(np.signbit(xf[1:])
+                                       != np.signbit(xf[:-1]))), 6))
+        peak.append(round(float(np.abs(xf).max()), 6))
+    return pa.table({
+        "media_id": batch["media_id"],
+        "duration_s": pa.array(dur, pa.float64()),
+        "rms": pa.array(rms, pa.float64()),
+        "zcr": pa.array(zcr, pa.float64()),
+        "peak": pa.array(peak, pa.float64()),
+    })
 
 
 def audio_features_pipeline(n_media: int = 200) -> pa.Table:
-    """audio → decode → features, as an actor-pool map_batches stage."""
+    """audio → decode → features, as a map_batches task stage."""
     ds = rd.from_arrow(audio_table(n_media))
-    feats = ds.map_batches(AudioFeatures, batch_format="pyarrow",
-                           batch_size=MEDIA_BATCH_SIZE, concurrency=(1, 2))
+    feats = ds.map_batches(_audio_features, batch_format="pyarrow",
+                           batch_size=MEDIA_BATCH_SIZE)
     out = feats.to_pandas().sort_values("media_id").reset_index(drop=True)
     return pa.Table.from_pandas(out, preserve_index=False)
 
@@ -403,60 +373,52 @@ def container_table(n: int, seed: int = 42) -> pa.Table:
     })
 
 
-class ContainerMetadata:
-    """Actor-pool container-metadata stage: per payload, parse the box
-    tree (mp4) or frame-header walk (mp3) and emit the stats a curation
-    pipeline shards/filters by — duration, unit (sample/frame) count,
-    codec, bytes — WITHOUT any codec decode. Parser tables bind once
-    per actor in __init__."""
-
-    def __init__(self) -> None:
-        from miru_ray.functions.mp3 import parse_mp3
-        from miru_ray.functions.mp4 import extract_samples, parse_mp4
-        self._mp4 = parse_mp4
-        self._mp4_samples = extract_samples
-        self._mp3 = parse_mp3
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {k: [] for k in ("media_id", "container", "codec",
-                               "duration_s", "n_units", "payload_bytes")}
-        for mid, kind, payload in zip(batch["media_id"].to_pylist(),
-                                      batch["container"].to_pylist(),
-                                      batch["payload"].to_pylist()):
-            if kind == "mp4":
-                info = self._mp4(payload)
-                track = info.tracks[0]
-                samples = self._mp4_samples(payload, track, info)
-                codec = track.codec
-                dur = info.duration_s
-                n_units = len(samples)
-                nbytes = sum(len(s) for s in samples)
-            else:
-                info = self._mp3(payload)
-                codec = "mp3"
-                dur = info.duration_s
-                n_units = info.n_frames
-                nbytes = len(payload)
-            out["media_id"].append(mid)
-            out["container"].append(kind)
-            out["codec"].append(codec)
-            out["duration_s"].append(round(dur, 6))
-            out["n_units"].append(n_units)
-            out["payload_bytes"].append(nbytes)
-        return pa.table({
-            "media_id": pa.array(out["media_id"], pa.int64()),
-            "container": pa.array(out["container"], pa.string()),
-            "codec": pa.array(out["codec"], pa.string()),
-            "duration_s": pa.array(out["duration_s"], pa.float64()),
-            "n_units": pa.array(out["n_units"], pa.int64()),
-            "payload_bytes": pa.array(out["payload_bytes"], pa.int64()),
-        })
+def _container_metadata(batch: pa.Table) -> pa.Table:
+    """Container-metadata stage: per payload, parse the box tree (mp4) or
+    frame-header walk (mp3) and emit the stats a curation pipeline
+    shards/filters by — duration, unit (sample/frame) count, codec,
+    bytes — WITHOUT any codec decode."""
+    from miru_ray.functions.mp3 import parse_mp3
+    from miru_ray.functions.mp4 import extract_samples, parse_mp4
+    out = {k: [] for k in ("media_id", "container", "codec",
+                           "duration_s", "n_units", "payload_bytes")}
+    for mid, kind, payload in zip(batch["media_id"].to_pylist(),
+                                  batch["container"].to_pylist(),
+                                  batch["payload"].to_pylist()):
+        if kind == "mp4":
+            info = parse_mp4(payload)
+            track = info.tracks[0]
+            samples = extract_samples(payload, track, info)
+            codec = track.codec
+            dur = info.duration_s
+            n_units = len(samples)
+            nbytes = sum(len(s) for s in samples)
+        else:
+            info = parse_mp3(payload)
+            codec = "mp3"
+            dur = info.duration_s
+            n_units = info.n_frames
+            nbytes = len(payload)
+        out["media_id"].append(mid)
+        out["container"].append(kind)
+        out["codec"].append(codec)
+        out["duration_s"].append(round(dur, 6))
+        out["n_units"].append(n_units)
+        out["payload_bytes"].append(nbytes)
+    return pa.table({
+        "media_id": pa.array(out["media_id"], pa.int64()),
+        "container": pa.array(out["container"], pa.string()),
+        "codec": pa.array(out["codec"], pa.string()),
+        "duration_s": pa.array(out["duration_s"], pa.float64()),
+        "n_units": pa.array(out["n_units"], pa.int64()),
+        "payload_bytes": pa.array(out["payload_bytes"], pa.int64()),
+    })
 
 
 def container_metadata_pipeline(n_media: int = 200) -> pa.Table:
-    """container media → parse metadata (actor pool), media_id-sorted."""
+    """container media → parse metadata (map_batches tasks), media_id-sorted."""
     ds = rd.from_arrow(container_table(n_media))
-    meta = ds.map_batches(ContainerMetadata, batch_format="pyarrow",
-                          batch_size=MEDIA_BATCH_SIZE, concurrency=(1, 2))
+    meta = ds.map_batches(_container_metadata, batch_format="pyarrow",
+                          batch_size=MEDIA_BATCH_SIZE)
     out = meta.to_pandas().sort_values("media_id").reset_index(drop=True)
     return pa.Table.from_pandas(out, preserve_index=False)

@@ -1,13 +1,14 @@
-"""Multimodal plumbing: decode stub, actor-pool stages, schema stability,
-determinism, and the explicit NotImplementedError seam for real codecs."""
+"""Multimodal plumbing: decode stub, map_batches task stages, schema
+stability, determinism, the explicit NotImplementedError seam for real
+codecs, and ValueError for malformed fixture blobs."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from miru_ray.pipelines.multimodal import (FrameSampler, MediaDecoder,
-                                           _decode_blob, frame_sample_pipeline,
+from miru_ray.pipelines.multimodal import (_decode_blob, _sample_frames,
+                                           frame_sample_pipeline,
                                            image_features_pipeline, media_table)
 
 
@@ -30,6 +31,12 @@ def test_decode_roundtrip_and_stub_seam():
     # mp4/webp stay explicit NotImplementedError seams
     with pytest.raises(NotImplementedError):
         _decode_blob("mp4", b"\x00\x00\x00\x18ftyp")
+    # malformed fake-raw blobs raise ValueError (not an assert `-O` strips)
+    raw = t["payload"][fmts.index("fake-raw")].as_py()
+    with pytest.raises(ValueError, match="magic"):
+        _decode_blob("fake-raw", b"XXXX" + raw[4:])
+    with pytest.raises(ValueError, match="shorter"):
+        _decode_blob("fake-raw", raw[:10])
 
 
 def test_jpeg_image_lane_near_seeded_content():
@@ -72,18 +79,6 @@ def test_gif_video_lane_matches_fake_raw_content():
         assert np.array_equal(arr, exp)
 
 
-def test_decoder_stage_local():
-    dec = MediaDecoder()
-    t = media_table(20)
-    out = dec(t)
-    assert "payload" not in out.schema.names  # MB-column dropped early
-    assert out.num_rows == 20
-    np_pix = np.array(out["n_pixels"].to_pylist())
-    exp = (np.array(t["width"].to_pylist()) * np.array(t["height"].to_pylist())
-           * np.array(t["n_frames"].to_pylist()))
-    assert np.array_equal(np_pix, exp)
-
-
 def test_image_features_pipeline_distributed(ray_session):
     feats = image_features_pipeline(60)
     assert feats.num_rows == 60
@@ -107,8 +102,8 @@ def test_frame_sampling(ray_session):
     for mid, n_frames in vids.items():
         assert counts[mid] == (n_frames + 3) // 4  # ceil(n/k)
     # sampled means match direct decode
-    sampler = FrameSampler(every_k=4)
-    direct = sampler(t.filter([k == "video" for k in t["kind"].to_pylist()]))
+    direct = _sample_frames(
+        t.filter([k == "video" for k in t["kind"].to_pylist()]), every_k=4)
     got = frames.sort_by([("media_id", "ascending"), ("frame_idx", "ascending")])
     assert got.equals(direct.sort_by([("media_id", "ascending"),
                                       ("frame_idx", "ascending")]))
@@ -119,7 +114,7 @@ def test_audio_features_deterministic_and_exact(ray_session):
     real formats; determinism across runs."""
     import numpy as np
     import pytest
-    from miru_ray.pipelines.multimodal import (AudioFeatures, _decode_audio,
+    from miru_ray.pipelines.multimodal import (_audio_features, _decode_audio,
                                                audio_features_pipeline,
                                                audio_table)
     a = audio_features_pipeline(60).to_pandas()
@@ -128,8 +123,7 @@ def test_audio_features_deterministic_and_exact(ray_session):
     assert list(a.columns) == ["media_id", "duration_s", "rms", "zcr", "peak"]
     # direct recompute for a few rows
     t = audio_table(60)
-    stage = AudioFeatures()
-    direct = stage(t.slice(0, 5)).to_pandas()
+    direct = _audio_features(t.slice(0, 5)).to_pandas()
     assert a.head(5).reset_index(drop=True).equals(direct)
     # ranges sane
     assert (a["peak"] <= 1.0).all() and (a["rms"] > 0).all()
@@ -147,6 +141,11 @@ def test_audio_features_deterministic_and_exact(ray_session):
     assert np.array_equal(x, exp)
     with pytest.raises(NotImplementedError):
         _decode_audio("mp3", b"xxxx")
+    pcm = t["payload"][fmts.index("fake-pcm")].as_py()
+    with pytest.raises(ValueError, match="magic"):
+        _decode_audio("fake-pcm", b"XXXX" + pcm[4:])
+    with pytest.raises(ValueError, match="shorter"):
+        _decode_audio("fake-pcm", pcm[:8])
 
 
 def test_fixture_seed_varies_payload_content():

@@ -110,7 +110,7 @@ def test_media_pipeline_png_lane_value_exact(ray_session):
     """image_features over the media fixture (every 3rd image row is a
     REAL PNG): pipeline output must equal a python oracle computed from
     the raw pixel arrays, never via PNG."""
-    from miru_ray.pipelines.multimodal import (ImageFeatures, media_table,
+    from miru_ray.pipelines.multimodal import (media_table,
                                                image_features_pipeline)
     n = 60
     tbl = media_table(n)
