@@ -92,7 +92,8 @@ def main(argv: list[str] | None = None) -> int:
         meta = build_index(src, args.index_dir, cfg)
         print(json.dumps({k: meta[k] for k in
                           ("n_docs", "n_terms", "avgdl", "segment_bytes",
-                           "skipped_parts", "phase_sec") if k in meta}))
+                           "partition_bytes", "skipped_parts", "phase_sec")
+                          if k in meta}))
         ray.shutdown()
     elif args.cmd == "search":
         _init_ray(args.num_cpus)

@@ -474,6 +474,17 @@ def build_index(source, index_dir: str, cfg: BuildConfig | None = None) -> dict:
         bus_gbps=bus_gbps, mode_meta=mode_meta, changed_parts=changed)
 
 
+def _partition_bytes(done: dict[int, dict]) -> dict:
+    """{"partition_bytes": docs + postings bytes over every completed
+    partition}, or {} when a manifest predates those keys — a partial sum
+    would undercount."""
+    if not all("docs_bytes" in m and "postings_bytes" in m
+               for m in done.values()):
+        return {}
+    return {"partition_bytes": sum(m["docs_bytes"] + m["postings_bytes"]
+                                   for m in done.values())}
+
+
 def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
                    k1: float, b: float, schema, analyzer: str,
                    skipped: list[int], phase_t: dict[str, float],
@@ -694,6 +705,7 @@ def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
         "tokenizer": "[a-z0-9]+ lowercase",
         "n_terms": int(sum(r["n_terms"] for r in seg_stats)),
         "segment_bytes": int(sum(r["bytes"] for r in seg_stats)),
+        **_partition_bytes(done),
         "phase_sec": phase_t,
         "bus_gbps": bus_gbps,
         "group_cpus": group_cpus,

@@ -89,9 +89,8 @@ def _align_and_write(group: pd.DataFrame, *, index_dir: str, fdef,
         "shard", pa.array(shard_for(post["term"].to_numpy(
             zero_copy_only=False), num_shards), pa.int64()))
     post = post.sort_by([("shard", "ascending"), ("term", "ascending")])
-    out = os.path.join(pdir, f"postings_field_{fdef.name}.parquet")
-    pq.write_table(post, out + ".tmp", row_group_size=4096)
-    os.replace(out + ".tmp", out)
+    layout.write_parquet_atomic(
+        post, os.path.join(pdir, f"postings_field_{fdef.name}.parquet"))
     return pd.DataFrame({"part": [part], "n_terms": [post.num_rows],
                          "n_docs_matched": [len(j)]})
 

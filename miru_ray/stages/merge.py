@@ -30,6 +30,7 @@ import pyarrow.parquet as pq
 from miru_ray.functions.postings import (block_max_tf, decode_ids, decode_tfs,
                                          encode_ids, encode_tfs, split_runs,
                                          weave_runs)
+from miru_ray.state.layout import write_parquet_atomic
 
 __all__ = ["merge_shard", "merge_rows", "splice_shard", "delta_shard"]
 
@@ -100,13 +101,10 @@ def merge_rows(rows: pa.Table, bases: dict[int, int]) -> pa.Table:
 
 
 def _write_shard(table: pa.Table, out_dir: str, shard: int) -> int:
-    """Write one shard file atomically (tmp + rename); returns its size."""
+    """Write one shard file atomically; returns its size."""
     os.makedirs(out_dir, exist_ok=True)
-    final = os.path.join(out_dir, f"shard={shard:05d}.parquet")
-    pq.write_table(table, final + ".tmp",
-                   row_group_size=4096, compression="zstd")
-    os.replace(final + ".tmp", final)
-    return os.path.getsize(final)
+    return write_parquet_atomic(
+        table, os.path.join(out_dir, f"shard={shard:05d}.parquet"))
 
 
 def _fresh_rows(shard: int, changed_files: dict[int, str],

@@ -26,12 +26,12 @@ import time
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from miru_ray.functions.extract import EXTRACTOR_VERSION
 from miru_ray.functions.hashing import hash_strings, shard_for
 from miru_ray.stages.invert import invert_docs
-from miru_ray.state.layout import part_dir, write_manifest
+from miru_ray.state.layout import (part_dir, write_manifest,
+                                   write_parquet_atomic)
 from miru_ray.state.schema import field_ns
 
 __all__ = ["build_partition", "input_digest", "AUTHZ_NS", "field_postings"]
@@ -204,13 +204,12 @@ def build_partition(group: pd.DataFrame, *, index_dir: str,
                                 else pa.array(df[f.name].tolist()))
     docs = pa.table(doc_cols)
 
-    # [atomic write] tmp files then rename; manifest last (commit point)
+    # [atomic write] data files first, manifest last (commit point)
     pdir = part_dir(index_dir, part)
     os.makedirs(pdir, exist_ok=True)
-    for name, tbl in (("docs.parquet", docs), ("postings.parquet", postings)):
-        tmp = os.path.join(pdir, name + ".tmp")
-        pq.write_table(tbl, tmp, row_group_size=4096)
-        os.replace(tmp, os.path.join(pdir, name))
+    docs_bytes = write_parquet_atomic(docs, os.path.join(pdir, "docs.parquet"))
+    postings_bytes = write_parquet_atomic(
+        postings, os.path.join(pdir, "postings.parquet"))
     # additively-added field sidecars (pipelines/schema_evolve.py) were
     # derived from the PREVIOUS partition content — a rebuild invalidates
     # them; re-run add_field afterwards (the safe direction)
@@ -237,6 +236,8 @@ def build_partition(group: pd.DataFrame, *, index_dir: str,
         "n_docs": n_docs,
         "n_terms": postings.num_rows,
         "sum_doclen": int(doclens.sum()),
+        "docs_bytes": docs_bytes,
+        "postings_bytes": postings_bytes,
         "elapsed_s": round(elapsed, 4),
     }
     write_manifest(index_dir, part, manifest)

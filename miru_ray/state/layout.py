@@ -8,17 +8,29 @@ atomic JSON manifests per partition directory:
 
     index_dir/
       meta.json                     # build config + global stats (N, avgdl, bases)
-      partitions/part=K/
-        docs.parquet                # local_id, url, warc_ts, lang, doclen  (sorted by (warc_ts,url))
-        postings.parquet            # term, shard, df, cf, docids, tfs      (sorted by term; LOCAL ids)
+      digest_cache.json             # verify_inputs: per-source-file input digests
+      partitions/part=KKKKK/
+        docs.parquet                # local_id, url, warc_ts, lang, doclen
+                                    # [+ text if store_text] [+ stored schema
+                                    # fields]; sorted by (warc_ts, url)
+        postings.parquet            # term, df, cf, docids, tfs, shard
+                                    # (sorted by (shard, term); LOCAL ids)
+        postings_field_<name>.parquet  # an add_field sidecar, same columns
         manifest.json               # lineage + metrics; presence+status == checkpoint
       segments/
-        shard=S/postings.parquet    # merged GLOBAL-id postings per term
-      segments_manifest.json
+        shard=SSSSS.parquet         # merged GLOBAL-id postings per term + the
+                                    # per-partition run directory
+      segments_delta/gen=KKKKK/
+        shard=SSSSS.parquet         # overlay of the partitions a small commit
+                                    # replaced (state/segview.py weaves it in)
+      segments_field_<name>/
+        shard=SSSSS.parquet         # an add_field field's own segments
 
 A partition is complete iff its manifest exists with status "complete" and
 matches the current input digest + extractor version; resume skips it
-(SURVEY.md §4 checkpoint row). All writes are write-temp-then-rename.
+(SURVEY.md §4 checkpoint row). All writes are write-temp-then-rename. Every
+parquet file above is written by ``write_parquet_atomic``: one codec (zstd
+level 3, no dictionary pages) and 4,096-row groups.
 """
 
 from __future__ import annotations
@@ -30,7 +42,8 @@ from typing import Any
 
 __all__ = [
     "part_dir", "manifest_path", "read_manifest", "write_manifest",
-    "completed_parts", "write_json_atomic", "read_json", "meta_path",
+    "completed_parts", "write_json_atomic", "write_parquet_atomic",
+    "read_json", "meta_path",
     "segments_dir", "field_segments_dir", "partitions_root", "delta_root",
     "delta_gen_dir", "clear_deltas", "prune_delta_gens",
     "source_cache_dir", "stat_validated_memo",
@@ -85,6 +98,18 @@ def write_json_atomic(path: str, obj: dict[str, Any]) -> None:
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
+
+
+def write_parquet_atomic(table, path: str) -> int:
+    """The one writer of index parquet files (partition docs/postings,
+    field sidecars, segment shards): tmp-then-rename, zstd level 3 with
+    no dictionary pages. Returns the file size in bytes."""
+    import pyarrow.parquet as pq
+    tmp = path + ".tmp"
+    pq.write_table(table, tmp, row_group_size=4096, compression="zstd",
+                   compression_level=3, use_dictionary=False)
+    os.replace(tmp, path)
+    return os.path.getsize(path)
 
 
 def read_json(path: str) -> dict[str, Any] | None:

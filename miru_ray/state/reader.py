@@ -17,9 +17,9 @@ MiruFieldIndex.java:41). Here:
   plants (like LabTimeIndex.getClosestId, miru-service/.../index/lab/
   LabTimeIndex.java:139-189, we resolve against the sorted view).
 
-An actor-pool scorer holds ONE IndexReader per actor (stages/search.py) —
-the StrutModelScorer pattern (miru-stream-plugins/.../strut/
-StrutModelScorer.java).
+An actor-pool scorer holds ONE IndexReader per actor
+(pipelines/search.py::BatchSearcher) — the StrutModelScorer pattern
+(miru-stream-plugins/.../strut/StrutModelScorer.java).
 """
 
 from __future__ import annotations

@@ -32,6 +32,10 @@ def test_cli_build_search_sync(tmp_path):
     meta = json.loads(_run("build", str(src), idx,
                            "--num-parts", "3", "--num-shards", "2").strip().splitlines()[-1])
     assert meta["n_docs"] == 299
+    assert meta["partition_bytes"] == sum(
+        os.path.getsize(os.path.join(idx, "partitions", p, f))
+        for p in os.listdir(os.path.join(idx, "partitions"))
+        for f in ("docs.parquet", "postings.parquet"))
 
     lines = [json.loads(l) for l in _run("search", idx, "needle7", "-k", "10")
              .strip().splitlines()]
