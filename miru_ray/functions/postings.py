@@ -20,15 +20,27 @@ as the sorted doc ids) — the reference stores tf as "cardinality" payloads
 alongside postings (miru-plugin/.../index/MiruFieldIndex.java:37-41).
 
 All encode/decode paths are numpy-vectorized; no per-id Python loops.
+Besides the one-posting codec there is a BULK codec over a whole column:
+``decode_many_ids``/``decode_many_tfs`` read a binary column through its
+Arrow offsets and data buffers into one flat array plus per-row counts,
+and ``encode_many_ids``/``encode_many_tfs``/``block_max_many`` build a
+binary column back from a flat array and per-row counts by offset
+arithmetic — row by row byte-identical to ``encode_ids``/``encode_tfs``/
+``block_max_tf``. Array containers, any number per posting, are laid out
+in one pass; bitmap containers (more than 4096 ids under one key) are
+filled one container at a time. The inversion and the segment merge use
+only the bulk forms.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 __all__ = [
     "encode_ids", "decode_ids", "decode_first_last", "encode_tfs",
-    "decode_tfs", "intersect_sorted", "union_sorted",
+    "decode_tfs", "encode_many_ids", "encode_many_tfs", "block_max_many",
+    "decode_many_ids", "decode_many_tfs", "intersect_sorted", "union_sorted",
     "diff_sorted", "block_max_tf", "BLOCK_SIZE", "shift_runs", "split_runs",
     "weave_runs",
 ]
@@ -88,45 +100,6 @@ def encode_ids(ids: np.ndarray) -> bytes:
             np.bitwise_or.at(bits, seg >> 3, np.uint8(1) << (seg & 7).astype(np.uint8))
             payloads.append(bits.tobytes())
     return b"".join([np.uint32(len(starts)).tobytes(), directory.tobytes(), *payloads])
-
-
-def encode_many_ids(ids: np.ndarray, starts: np.ndarray,
-                    ends: np.ndarray) -> list[bytes]:
-    """Encode many postings given as slices [starts[i], ends[i]) of one
-    sorted id array — bulk fast path for the single-container case (all of
-    a posting's ids share one high-48 key and count <= 4096), which covers
-    virtually every term in a partition-local build. Falls back to
-    encode_ids per slice otherwise. Byte-identical to encode_ids."""
-    ids = np.ascontiguousarray(ids, dtype=np.uint64)
-    keys = ids >> np.uint64(16)
-    lows = (ids & np.uint64(0xFFFF)).astype("<u2")
-    counts = ends - starts
-    single = (keys[starts] == keys[np.maximum(ends - 1, starts)]) & (counts <= _ARRAY_MAX)
-    out: list[bytes] = [b""] * len(starts)
-    one = np.uint32(1).tobytes()
-    for i in range(len(starts)):
-        s, e = starts[i], ends[i]
-        if single[i]:
-            # header: n=1 | directory{key,u8 kind,u32 count} | u2 payload
-            d = np.empty(1, dtype=_DIR_DTYPE)
-            d["key"] = keys[s]
-            d["kind"] = _ARRAY
-            d["count"] = e - s
-            out[i] = b"".join([one, d.tobytes(), lows[s:e].tobytes()])
-        else:
-            out[i] = encode_ids(ids[s:e])
-    return out
-
-
-def encode_many_tfs(tfs: np.ndarray, starts: np.ndarray,
-                    ends: np.ndarray) -> list[bytes]:
-    """Bulk encode_tfs over slices (byte-identical to encode_tfs)."""
-    maxes = np.maximum.reduceat(tfs, starts)
-    u1 = tfs.astype("u1")
-    u4 = tfs.astype("<u4")
-    return [(b"\x01" + u1[s:e].tobytes()) if maxes[i] < 256
-            else (b"\x04" + u4[s:e].tobytes())
-            for i, (s, e) in enumerate(zip(starts, ends))]
 
 
 def decode_ids(blob: bytes | memoryview) -> np.ndarray:
@@ -202,6 +175,197 @@ def decode_tfs(blob: bytes | memoryview) -> np.ndarray:
     if tag == 1:
         return np.frombuffer(buf[1:], dtype="u1").astype(np.int64)
     return np.frombuffer(buf[1:], dtype="<u4").astype(np.int64)
+
+
+# --- bulk codec over many postings at once: one flat value array plus
+#     per-posting counts on the numpy side, one binary column on the Arrow
+#     side. Byte-identical to the one-posting codec above, posting by
+#     posting; the only per-item Python loop is over BITMAP containers
+#     (> 4096 ids under one key), which the merge almost never meets ---
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum: where each of ``counts``' slices starts."""
+    out = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=out[1:])
+    return out
+
+
+def _within(counts: np.ndarray) -> np.ndarray:
+    """0..count-1 for each slice, concatenated."""
+    n = int(counts.sum())
+    return np.arange(n, dtype=np.int64) - np.repeat(_starts(counts), counts)
+
+
+def _binary_buffers(col: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """(per-row byte offsets into ``data``, data bytes) of a binary or
+    large_binary column, chunked or sliced, without copying the data."""
+    if isinstance(col, pa.ChunkedArray):
+        col = (col.combine_chunks() if col.num_chunks != 1 else col.chunk(0))
+    if col.null_count:
+        raise ValueError("postings column holds nulls")
+    _, obuf, dbuf = col.buffers()
+    odt = np.int64 if pa.types.is_large_binary(col.type) else np.int32
+    offs = np.frombuffer(obuf, dtype=odt)[col.offset:col.offset + len(col) + 1]
+    data = (np.frombuffer(dbuf, dtype=np.uint8) if dbuf is not None
+            else np.empty(0, np.uint8))
+    return offs.astype(np.int64), data
+
+
+def _gather_le(data: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
+    """Little-endian unsigned ints of ``width`` bytes at byte ``pos``."""
+    out = data[pos].astype(np.uint64)
+    for b in range(1, width):
+        out |= data[pos + b].astype(np.uint64) << np.uint64(8 * b)
+    return out
+
+
+def decode_many_ids(col: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a whole column of id blobs → (flat sorted-per-row uint64 ids,
+    per-row int64 counts), read straight through the column's offsets and
+    data buffers."""
+    offs, data = _binary_buffers(col)
+    ncont = _gather_le(data, offs[:-1], 4).astype(np.int64)
+    crow = np.repeat(np.arange(len(ncont)), ncont)       # container → row
+    first = _starts(ncont)                                # row → 1st container
+    dpos = (offs[:-1][crow] + 4
+            + _DIR_DTYPE.itemsize * (np.arange(len(crow)) - first[crow]))
+    directory = np.ascontiguousarray(
+        data[dpos[:, None] + np.arange(_DIR_DTYPE.itemsize)]
+    ).view(_DIR_DTYPE).ravel()
+    count = directory["count"].astype(np.int64)
+    bitmap = directory["kind"] != _ARRAY
+    size = np.where(bitmap, _BITMAP_BYTES, 2 * count)
+    excl = _starts(size)
+    pstart = (offs[:-1][crow] + 4 + _DIR_DTYPE.itemsize * ncont[crow]
+              + excl - excl[first[crow]])
+    cont = np.repeat(np.arange(len(count)), count)        # id → container
+    lows = np.empty(len(cont), dtype=np.uint64)
+    arr = ~bitmap[cont]
+    lows[arr] = _gather_le(data, pstart[cont[arr]] + 2 * _within(count)[arr], 2)
+    ostart = _starts(count)
+    for c in np.flatnonzero(bitmap):
+        bits = data[pstart[c]:pstart[c] + _BITMAP_BYTES]
+        lows[ostart[c]:ostart[c] + count[c]] = np.flatnonzero(
+            np.unpackbits(bits, bitorder="little"))
+    ids = (directory["key"][cont] << np.uint64(16)) | lows
+    cc = np.concatenate([[0], np.cumsum(count)])
+    return ids, cc[first + ncont] - cc[first]
+
+
+def decode_many_tfs(col: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a whole column of tf blobs → (flat int64 tfs, per-row
+    counts)."""
+    offs, data = _binary_buffers(col)
+    width = np.where(data[offs[:-1]] == 1, 1, 4)
+    counts = (np.diff(offs) - 1) // width
+    w = np.repeat(width, counts)
+    pos = np.repeat(offs[:-1] + 1, counts) + w * _within(counts)
+    tfs = data[pos].astype(np.int64)
+    wide = w == 4
+    tfs[wide] = _gather_le(data, pos[wide], 4).astype(np.int64)
+    return tfs, counts
+
+
+def _binary_array(lengths: np.ndarray, data: np.ndarray) -> pa.BinaryArray:
+    """A ``binary`` (int32-offset) Arrow column over ``data`` cut into
+    rows of ``lengths`` bytes."""
+    offs = np.concatenate([[0], np.cumsum(lengths)])
+    if offs[-1] > np.iinfo(np.int32).max:
+        raise OverflowError("postings column exceeds 2 GiB")
+    return pa.BinaryArray.from_buffers(
+        pa.binary(), len(lengths),
+        [None, pa.py_buffer(offs.astype(np.int32)), pa.py_buffer(data)])
+
+
+def encode_many_ids(ids: np.ndarray, counts: np.ndarray) -> pa.BinaryArray:
+    """Encode consecutive slices of ``ids`` (slice i holds ``counts[i]``
+    sorted unique ids) → one binary column, row i == encode_ids(slice i).
+    The output bytes are laid out by offset arithmetic; only bitmap
+    containers are filled one container at a time."""
+    ids = np.ascontiguousarray(ids, dtype=np.uint64)
+    counts = np.asarray(counts, dtype=np.int64)
+    n = len(ids)
+    rows = np.repeat(np.arange(len(counts)), counts)
+    keys = ids >> np.uint64(16)
+    # a container starts at each posting start and at each key change
+    new = np.ones(n, dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]) | (rows[1:] != rows[:-1])
+    cstart = np.flatnonzero(new)
+    ccount = np.diff(np.append(cstart, n))
+    crow = rows[cstart]
+    bitmap = ccount > _ARRAY_MAX
+    ncont = np.bincount(crow, minlength=len(counts)).astype(np.int64)
+    first = _starts(ncont)
+    size = np.where(bitmap, _BITMAP_BYTES, 2 * ccount)
+    excl = _starts(size)
+    psum = np.concatenate([[0], np.cumsum(size)])
+    lengths = 4 + _DIR_DTYPE.itemsize * ncont + psum[first + ncont] - psum[first]
+    rstart = _starts(lengths)
+    out = np.empty(int(lengths.sum()), dtype=np.uint8)
+    # header: u32 container count
+    out[rstart[:, None] + np.arange(4)] = (
+        ncont.astype("<u4").view(np.uint8).reshape(-1, 4))
+    # directory: one 13-byte entry per container
+    directory = np.empty(len(cstart), dtype=_DIR_DTYPE)
+    directory["key"] = keys[cstart]
+    directory["kind"] = np.where(bitmap, _BITMAP, _ARRAY)
+    directory["count"] = ccount
+    dpos = (rstart[crow] + 4
+            + _DIR_DTYPE.itemsize * (np.arange(len(cstart)) - first[crow]))
+    out[dpos[:, None] + np.arange(_DIR_DTYPE.itemsize)] = (
+        directory.view(np.uint8).reshape(-1, _DIR_DTYPE.itemsize))
+    # payloads: u16 lows of array containers, bitsets of bitmap containers
+    pstart = (rstart[crow] + 4 + _DIR_DTYPE.itemsize * ncont[crow]
+              + excl - excl[first[crow]])
+    cont = np.repeat(np.arange(len(cstart)), ccount)
+    arr = ~bitmap[cont]
+    pos = pstart[cont[arr]] + 2 * _within(ccount)[arr]
+    lows = (ids[arr] & np.uint64(0xFFFF)).astype(np.uint16)
+    out[pos] = (lows & 0xFF).astype(np.uint8)
+    out[pos + 1] = (lows >> 8).astype(np.uint8)
+    for c in np.flatnonzero(bitmap):
+        bits = np.zeros(1 << 16, dtype=bool)
+        bits[(ids[cstart[c]:cstart[c] + ccount[c]] & np.uint64(0xFFFF))
+             .astype(np.int64)] = True
+        out[pstart[c]:pstart[c] + _BITMAP_BYTES] = np.packbits(
+            bits, bitorder="little")
+    return _binary_array(lengths, out)
+
+
+def encode_many_tfs(tfs: np.ndarray, counts: np.ndarray) -> pa.BinaryArray:
+    """Encode consecutive slices of ``tfs`` → one binary column, row i ==
+    encode_tfs(slice i): u1 entries when the slice's max < 256, else u4
+    (an empty slice takes the u4 tag, as encode_tfs gives it)."""
+    tfs = np.asarray(tfs, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    wide = np.ones(len(counts), dtype=bool)
+    full = counts > 0
+    wide[full] = np.maximum.reduceat(tfs, _starts(counts)[full]) >= 256
+    width = np.where(wide, 4, 1)
+    lengths = 1 + width * counts
+    rstart = _starts(lengths)
+    out = np.empty(int(lengths.sum()), dtype=np.uint8)
+    out[rstart] = width
+    w = np.repeat(width, counts)
+    pos = np.repeat(rstart + 1, counts) + w * _within(counts)
+    out[pos] = (tfs & 0xFF).astype(np.uint8)
+    big = w == 4
+    for b in range(1, 4):
+        out[pos[big] + b] = ((tfs[big] >> (8 * b)) & 0xFF).astype(np.uint8)
+    return _binary_array(lengths, out)
+
+
+def block_max_many(tfs: np.ndarray, counts: np.ndarray) -> pa.BinaryArray:
+    """block_max_tf over consecutive slices of ``tfs`` → one binary column,
+    from a single ``np.maximum.reduceat`` over every slice's blocks."""
+    tfs = np.asarray(tfs)
+    counts = np.asarray(counts, dtype=np.int64)
+    nblocks = (counts + BLOCK_SIZE - 1) // BLOCK_SIZE
+    bstart = (np.repeat(_starts(counts), nblocks)
+              + BLOCK_SIZE * _within(nblocks))
+    mx = np.maximum.reduceat(tfs, bstart)
+    return _binary_array(2 * nblocks, np.minimum(mx, 65535).astype("<u2")
+                         .view(np.uint8))
 
 
 # --- run surgery over a merged posting's run directory (the segment's

@@ -677,6 +677,10 @@ def finalize_index(index_dir: str, *, num_parts: int, num_shards: int,
         os.replace(seg_tmp, seg_live)
     phase_t["segment_merge"] = round(time.perf_counter() - t_merge, 3)
     phase_t["merge_mode"] = merge_mode
+    # the slowest merge task's own time: segment_merge minus this is Ray
+    # dispatch and the swap
+    phase_t["merge_shard_max_s"] = round(
+        max((r["elapsed_s"] for r in seg_stats), default=0.0), 4)
 
     meta = {
         "format_version": layout.FORMAT_VERSION,

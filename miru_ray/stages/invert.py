@@ -6,9 +6,9 @@ each term's posting (miru-service/.../stream/MiruIndexPrimaryFields.java:37-136)
 
 Here the whole inversion for a set of docs is one numpy pass:
 tokenize (Arrow kernels) → factorize terms → (term_code, doc) unique with
-counts → per-term slices encoded with the roaring-style codec. No Python
-loop over tokens or rows; the only Python loop is per *unique term* for
-blob encoding.
+counts → per-term slices encoded with the bulk roaring-style codec
+(functions/postings ``encode_many_*``). No Python loop over tokens, rows
+or terms.
 """
 
 from __future__ import annotations
@@ -83,19 +83,15 @@ def invert_docs(texts: pa.Array | pa.ChunkedArray,
     # per-term boundaries
     change = np.flatnonzero(np.diff(u_code)) + 1
     starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [len(ukey)]])
     term_codes = u_code[starts]
-    df = (ends - starts).astype(np.int64)
+    df = np.diff(np.append(starts, len(ukey)))
     cf = np.add.reduceat(tf, starts).astype(np.int64)
-
-    docid_blobs = encode_many_ids(u_doc.astype(np.uint64), starts, ends)
-    tf_blobs = encode_many_tfs(tf, starts, ends)
 
     postings = pa.table({
         "term": pa.array(vocab[term_codes], pa.string()),
         "df": pa.array(df, pa.int64()),
         "cf": pa.array(cf, pa.int64()),
-        "docids": pa.array(docid_blobs, pa.binary()),
-        "tfs": pa.array(tf_blobs, pa.binary()),
+        "docids": encode_many_ids(u_doc, df),
+        "tfs": encode_many_tfs(tf, df),
     })
     return postings, doclens

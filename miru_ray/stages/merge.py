@@ -6,9 +6,11 @@ answer-side merge contract (miru-plugin/.../solution/MiruAnswerMerger.java).
 
 Design: one task per term-shard ``s`` reads only the ``shard == s`` rows of
 every completed partition's postings file (parquet predicate pushdown),
-concatenates, sorts by (term, part) and merges per-term runs vectorized.
-This replaces a groupby(term) all-to-all with an embarrassingly parallel
-fan-out over S shards — there is NO Ray-level shuffle in the merge:
+concatenates, sorts by (term, part) and merges every term's runs in ONE
+bulk numpy kernel (``merge_rows``: whole-column decode, one rebase,
+whole-column encode — no per-term Python loop). This replaces a
+groupby(term) all-to-all with an embarrassingly parallel fan-out over S
+shards — there is NO Ray-level shuffle in the merge:
 
 - group row count per shard is bounded by |vocab_shard| · P regardless of
   corpus size (hot terms are one compressed blob per partition, not one row
@@ -21,15 +23,20 @@ fan-out over S shards — there is NO Ray-level shuffle in the merge:
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from miru_ray.functions.postings import (block_max_tf, decode_ids, decode_tfs,
-                                         encode_ids, encode_tfs, split_runs,
-                                         weave_runs)
+from miru_ray.functions.postings import (block_max_many, block_max_tf,
+                                         decode_ids, decode_many_ids,
+                                         decode_many_tfs, decode_tfs,
+                                         encode_ids, encode_many_ids,
+                                         encode_many_tfs, encode_tfs,
+                                         split_runs, weave_runs)
 from miru_ray.state.layout import write_parquet_atomic
 
 __all__ = ["merge_shard", "merge_rows", "splice_shard", "delta_shard"]
@@ -41,6 +48,7 @@ _SEGMENT_TYPES = {
     "bmax": pa.binary(), "parts": pa.list_(pa.int64()),
     "pdfs": pa.list_(pa.int64()), "pcfs": pa.list_(pa.int64()),
 }
+_SCHEMA = pa.schema(list(_SEGMENT_TYPES.items()))
 
 
 def _segment_table(cols: dict[str, list]) -> pa.Table:
@@ -53,51 +61,57 @@ def merge_rows(rows: pa.Table, bases: dict[int, int]) -> pa.Table:
     """Merge partial postings (term, part, df, cf, docids, tfs) → one row per
     term with rebased, globally-sorted ids. Input may hold many terms.
 
+    One bulk kernel over the whole table, no per-term loop: decode every
+    docids/tfs blob into one flat array (functions/postings
+    decode_many_*), rebase with one ``np.repeat`` of ``bases[part]``,
+    re-encode per term with the bulk encoders. Rows sorted by (term,
+    part) put each term's runs in part order == id order, so the flat
+    ids are already globally sorted within each term.
+
     Each output row also records its RUN DIRECTORY — ``parts`` (the
     partitions contributing a run, in part order == id order) and ``pdfs``
     (that run's df) — the "singleton-merge header" that lets a later
     incremental merge splice a changed partition's run in and out without
     re-reading every partition (splice_shard below)."""
-    out = {k: [] for k in _SEGMENT_TYPES}
     if rows.num_rows == 0:
-        return _segment_table(out)
+        return _SCHEMA.empty_table()
     # sort in ARROW, not pandas: pandas' multi-key sort_values mis-orders
     # strings with embedded NULs (the \x00field\x00 namespace), leaving
     # same-term rows non-adjacent and breaking the run grouping below.
     # Arrow compares string columns bytewise.
     rows = rows.sort_by([("term", "ascending"), ("part", "ascending")])
-    df_ = rows.to_pandas()
-    terms = df_["term"].to_numpy(dtype=object)
-    change = np.flatnonzero(terms[1:] != terms[:-1]) + 1
-    starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [len(df_)]])
+    terms = rows["term"].combine_chunks()
+    n = len(terms)
+    new_term = np.ones(n, dtype=bool)
+    new_term[1:] = pc.not_equal(terms[1:], terms[:-1]).to_numpy(
+        zero_copy_only=False)
+    starts = np.flatnonzero(new_term)
+    parts = rows["part"].to_numpy()
+    dfs = rows["df"].to_numpy()
+    cfs = rows["cf"].to_numpy()
 
-    parts = df_["part"].to_numpy()
-    blobs = df_["docids"].to_numpy(dtype=object)
-    tf_blobs = df_["tfs"].to_numpy(dtype=object)
-    dfs = df_["df"].to_numpy()
-    cfs = df_["cf"].to_numpy()
-    shards = df_["shard"].to_numpy()
+    ids, id_counts = decode_many_ids(rows["docids"])
+    tfs, _ = decode_many_tfs(rows["tfs"])
+    uparts, pidx = np.unique(parts, return_inverse=True)
+    row_base = np.array([bases[int(p)] for p in uparts], np.uint64)[pidx]
+    ids += np.repeat(row_base, id_counts)
+    counts = np.add.reduceat(id_counts, starts)
 
-    for s, e in zip(starts, ends):
-        if e - s == 1:  # single-partition term: rebase only
-            ids = decode_ids(blobs[s]) + np.uint64(bases[int(parts[s])])
-            tfs = decode_tfs(tf_blobs[s])
-        else:
-            ids = np.concatenate([decode_ids(blobs[i]) + np.uint64(bases[int(parts[i])])
-                                  for i in range(s, e)])
-            tfs = np.concatenate([decode_tfs(tf_blobs[i]) for i in range(s, e)])
-        out["term"].append(terms[s])
-        out["shard"].append(int(shards[s]))
-        out["df"].append(int(dfs[s:e].sum()))
-        out["cf"].append(int(cfs[s:e].sum()))
-        out["docids"].append(encode_ids(ids))
-        out["tfs"].append(encode_tfs(tfs))
-        out["bmax"].append(block_max_tf(tfs))
-        out["parts"].append([int(p) for p in parts[s:e]])
-        out["pdfs"].append([int(d) for d in dfs[s:e]])
-        out["pcfs"].append([int(c) for c in cfs[s:e]])
-    return _segment_table(out)
+    offsets = pa.array(np.append(starts, n).astype(np.int32))
+
+    def runs(values: np.ndarray) -> pa.ListArray:
+        return pa.ListArray.from_arrays(offsets, pa.array(values, pa.int64()))
+
+    return pa.table({
+        "term": terms.take(starts).cast(pa.string()),
+        "shard": rows["shard"].combine_chunks().take(starts),
+        "df": pa.array(np.add.reduceat(dfs, starts), pa.int64()),
+        "cf": pa.array(np.add.reduceat(cfs, starts), pa.int64()),
+        "docids": encode_many_ids(ids, counts),
+        "tfs": encode_many_tfs(tfs, counts),
+        "bmax": block_max_many(tfs, counts),
+        "parts": runs(parts), "pdfs": runs(dfs), "pcfs": runs(cfs),
+    }, schema=_SCHEMA)
 
 
 def _write_shard(table: pa.Table, out_dir: str, shard: int) -> int:
@@ -142,6 +156,7 @@ def splice_shard(shard: int, old_file: str, changed_files: dict[int, str],
     """
     from miru_ray.functions.runtime import limit_worker_threads
     limit_worker_threads()
+    t0 = time.perf_counter()
     old = pq.read_table(old_file)
     fresh = _fresh_rows(shard, changed_files, new_bases)
     # bulk-convert EVERY column once — chained-array cell.as_py() per row
@@ -186,8 +201,9 @@ def splice_shard(shard: int, old_file: str, changed_files: dict[int, str],
             emit(*(f[k][fi] for k in _SEGMENT_TYPES))
 
     merged = _segment_table(out).sort_by("term")
-    return {"n_terms": merged.num_rows,
-            "bytes": _write_shard(merged, segments_tmp, shard)}
+    nbytes = _write_shard(merged, segments_tmp, shard)
+    return {"n_terms": merged.num_rows, "bytes": nbytes,
+            "elapsed_s": time.perf_counter() - t0}
 
 
 def delta_shard(shard: int, old_file: str, changed_files: dict[int, str],
@@ -209,6 +225,7 @@ def delta_shard(shard: int, old_file: str, changed_files: dict[int, str],
     a documented metadata-only approximation), bytes = base + overlay."""
     from miru_ray.functions.runtime import limit_worker_threads
     limit_worker_threads()
+    t0 = time.perf_counter()
     fresh = _fresh_rows(shard, changed_files, new_bases)
     gen_bytes = _write_shard(fresh, gen_tmp, shard)
     base_rows = pq.ParquetFile(old_file).metadata.num_rows
@@ -218,18 +235,22 @@ def delta_shard(shard: int, old_file: str, changed_files: dict[int, str],
         filters=pads.field("term").isin(gen_terms)).num_rows
         if gen_terms else 0)
     return {"n_terms": base_rows + len(gen_terms) - matched,
-            "bytes": os.path.getsize(old_file) + gen_bytes}
+            "bytes": os.path.getsize(old_file) + gen_bytes,
+            "elapsed_s": time.perf_counter() - t0}
 
 
 def merge_shard(shard: int, part_files: dict[int, str],
                 bases: dict[int, int], segments_tmp: str) -> pa.Table:
     """Full merge of ONE shard from every partition's postings, written
     to ``segments_tmp/shard=S.parquet`` atomically. Returns the one-row
-    (shard, n_terms, bytes) lineage record."""
+    (shard, n_terms, bytes, elapsed_s) lineage record."""
     from miru_ray.functions.runtime import limit_worker_threads
     limit_worker_threads()
+    t0 = time.perf_counter()
     merged = _fresh_rows(shard, part_files, bases)
     nbytes = _write_shard(merged, segments_tmp, shard)
-    return pa.table({k: pa.array([v], pa.int64()) for k, v in
-                     (("shard", shard), ("n_terms", merged.num_rows),
-                      ("bytes", nbytes))})
+    return pa.table({"shard": pa.array([shard], pa.int64()),
+                     "n_terms": pa.array([merged.num_rows], pa.int64()),
+                     "bytes": pa.array([nbytes], pa.int64()),
+                     "elapsed_s": pa.array([time.perf_counter() - t0],
+                                           pa.float64())})

@@ -20,6 +20,7 @@ SURVEY.md §4 "Metrics/lineage").
 
 from __future__ import annotations
 
+import math
 import os
 import time
 
@@ -99,6 +100,12 @@ MANIFEST_SCHEMA = {
 }
 
 
+def _floor4(s: float) -> float:
+    """Seconds rounded DOWN to 0.1 ms, so the layer times of a manifest
+    never sum past its rounded ``elapsed_s``."""
+    return math.floor(s * 1e4) / 1e4
+
+
 def input_digest(urls, warc_ts_us: np.ndarray, texts=None) -> int:
     """Order-independent digest of a partition's input rows (resume guard):
     XOR of per-row siphashes. Cheap, deterministic, commutative.
@@ -160,6 +167,7 @@ def build_partition(group: pd.DataFrame, *, index_dir: str,
     df = df.sort_values(["ts", "url"], kind="stable").reset_index(drop=True)
     n_docs = len(df)
     local_ids = np.arange(n_docs, dtype=np.int64)
+    t_dedup = time.perf_counter()
 
     texts = pa.array(df["text"].tolist(), pa.string())
     postings, doclens = invert_docs(
@@ -187,6 +195,7 @@ def build_partition(group: pd.DataFrame, *, index_dir: str,
     # sort by (shard, term) so the per-shard merge's shard-filter reads only
     # the matching row groups (parquet min/max pruning)
     postings = postings.sort_by([("shard", "ascending"), ("term", "ascending")])
+    t_invert = time.perf_counter()
 
     doc_cols = {
         "local_id": pa.array(local_ids, pa.int64()),
@@ -217,7 +226,8 @@ def build_partition(group: pd.DataFrame, *, index_dir: str,
     for stale in _glob.glob(os.path.join(pdir, "postings_field_*.parquet")):
         os.remove(stale)
 
-    elapsed = time.perf_counter() - t0
+    t_end = time.perf_counter()
+    elapsed = t_end - t0
     manifest = {
         "part": part,
         "status": "complete",
@@ -239,6 +249,11 @@ def build_partition(group: pd.DataFrame, *, index_dir: str,
         "docs_bytes": docs_bytes,
         "postings_bytes": postings_bytes,
         "elapsed_s": round(elapsed, 4),
+        # layer split of elapsed_s: [digest, dedup, docIDs] [inversion,
+        # field postings, shard sort] [docs table, file writes]
+        "dedup_s": _floor4(t_dedup - t0),
+        "invert_s": _floor4(t_invert - t_dedup),
+        "write_s": _floor4(t_end - t_invert),
     }
     write_manifest(index_dir, part, manifest)
     return pd.DataFrame({

@@ -164,14 +164,13 @@ def keyword_postings(ns: str, flat_values: np.ndarray,
     u_doc = (ukey % max_doc).astype(np.uint64)
     change = np.flatnonzero(np.diff(u_code)) + 1
     starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [len(ukey)]])
-    df = (ends - starts).astype(np.int64)
+    df = np.diff(np.append(starts, len(ukey)))
     ones = np.ones(len(ukey), dtype=np.int64)
     return pa.table({
         "term": pa.array([ns + str(uniques[c]) for c in u_code[starts]],
                          pa.string()),
         "df": pa.array(df, pa.int64()),
         "cf": pa.array(df, pa.int64()),
-        "docids": pa.array(encode_many_ids(u_doc, starts, ends), pa.binary()),
-        "tfs": pa.array(encode_many_tfs(ones, starts, ends), pa.binary()),
+        "docids": encode_many_ids(u_doc, df),
+        "tfs": encode_many_tfs(ones, df),
     })
